@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dmc_gawar.data import FeatureMatrix, LabelVector
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
+
+# Property tests run the same examples on every run and stay quick; no
+# example database is written.
+settings.register_profile("tier1", derandomize=True, max_examples=150, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -1,8 +1,13 @@
 """Hand-written reference implementations used only to cross-check the
 package.  Plain loops and literals on purpose; nothing here is imported
-from the library under test."""
+from the library under test except the ``TreeNode`` container, so that
+reference trees compare equal (``==``) to the library's."""
 
 import math
+
+import numpy as np
+
+from dmc_gawar.classifier import TreeNode
 
 
 def oracle_region(values, labels):
@@ -78,3 +83,83 @@ def oracle_metrics(tp, tn, fp, fn):
         "f_measure": f_measure,
         "mcc": mcc,
     }
+
+
+def _oracle_tree_leaf(y):
+    ones = int(y.sum())
+    zeros = len(y) - ones
+    return TreeNode(prediction=1 if ones > zeros else 0)
+
+
+def _oracle_best_split(x, y):
+    """(threshold, weighted Gini) of one column's best midpoint, or None
+    for a constant column; the ascending sweep keeps the first minimum."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ys = y[order]
+    cut = np.flatnonzero(xs[:-1] < xs[1:])
+    if len(cut) == 0:
+        return None
+    n = len(y)
+    ones_cum = np.cumsum(ys)
+    total_ones = ones_cum[-1]
+
+    left_n = cut + 1
+    right_n = n - left_n
+    left_ones = ones_cum[cut]
+    right_ones = total_ones - left_ones
+    left_zeros = left_n - left_ones
+    right_zeros = right_n - right_ones
+
+    gini_left = 1.0 - (left_ones / left_n) ** 2 - (left_zeros / left_n) ** 2
+    gini_right = 1.0 - (right_ones / right_n) ** 2 - (right_zeros / right_n) ** 2
+    weighted = (left_n * gini_left + right_n * gini_right) / n
+
+    best = int(np.argmin(weighted))
+    pos = cut[best]
+    below, above = float(xs[pos]), float(xs[pos + 1])
+    threshold = (below + above) / 2.0
+    if not below <= threshold < above:
+        threshold = below
+    return threshold, float(weighted[best])
+
+
+def oracle_fit_tree(x, y):
+    """Per-node, per-column Gini tree: every node re-sorts every column."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    ones = int(y.sum())
+    if len(y) < 2 or ones == 0 or ones == len(y):
+        return _oracle_tree_leaf(y)
+
+    best_feature = None
+    best_threshold = 0.0
+    best_weighted = np.inf
+    for j in range(x.shape[1]):
+        found = _oracle_best_split(x[:, j], y)
+        if found is None:
+            continue
+        threshold, weighted = found
+        if weighted < best_weighted:
+            best_feature, best_threshold, best_weighted = j, threshold, weighted
+    if best_feature is None:
+        return _oracle_tree_leaf(y)
+
+    goes_left = x[:, best_feature] <= best_threshold
+    return TreeNode(
+        feature=best_feature,
+        threshold=best_threshold,
+        left=oracle_fit_tree(x[goes_left], y[goes_left]),
+        right=oracle_fit_tree(x[~goes_left], y[~goes_left]),
+    )
+
+
+def oracle_predict(node, x):
+    """Walk each row down the tree on its own; a threshold value goes left."""
+    out = []
+    for row in np.asarray(x, dtype=float):
+        cursor = node
+        while not cursor.is_leaf:
+            cursor = cursor.left if row[cursor.feature] <= cursor.threshold else cursor.right
+        out.append(cursor.prediction)
+    return np.array(out, dtype=int)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dmc_gawar import classifier
 from dmc_gawar.classifier import (
+    _BLOCK,
     ClassificationMetrics,
     confusion_counts,
     evaluate_split,
@@ -10,9 +15,28 @@ from dmc_gawar.classifier import (
     mean_metrics,
     predict,
 )
+from dmc_gawar.data import stratified_split
 from dmc_gawar.synthetic import make_planted, make_xor
 from conftest import random_dataset
-from oracles import oracle_metrics
+from oracles import oracle_fit_tree, oracle_metrics, oracle_predict
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """(x, y, queries): small-integer columns with duplicate rows and
+    constant columns; queries add the half-integers thresholds land on."""
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 12))
+    top = draw(st.integers(0, 4))
+    x = draw(arrays(float, (n, m), elements=st.integers(0, top).map(float)))
+    for source, target in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        x[target] = x[source]
+    for column in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        x[:, column] = x[0, column]
+    y = draw(arrays(int, n, elements=st.integers(0, 1)))
+    halves = st.integers(-1, 2 * top + 1).map(lambda v: v / 2)
+    queries = draw(arrays(float, (draw(st.integers(0, 20)), m), elements=halves))
+    return x, y, queries
 
 
 class TestTree:
@@ -72,6 +96,41 @@ class TestTree:
             y = (rng.random(40) < 0.5).astype(int)
             tree = fit_tree(x, y)
             assert np.array_equal(predict(tree, x), y)
+
+    @pytest.mark.parametrize(
+        "below, above",
+        [(1 + 2**-52, 1 + 2**-51), (1e308, 1.5e308), (-1.5e308, -1e308)],
+        ids=["midpoint-rounds-up", "overflow", "negative-overflow"],
+    )
+    def test_unrepresentable_midpoint_splits_at_lower_value(self, below, above):
+        # (below + above) / 2 is not strictly below `above`; the tree must
+        # still split the two rows instead of recursing on the same node
+        x = np.array([[below], [above]])
+        y = np.array([0, 1])
+        tree = fit_tree(x, y)
+        assert tree.threshold == below
+        assert tree == oracle_fit_tree(x, y)
+        assert np.array_equal(predict(tree, x), y)
+
+    @given(tie_heavy_problems())
+    def test_matches_oracle_on_tie_heavy_inputs(self, problem):
+        x, y, queries = problem
+        tree = fit_tree(x, y)
+        assert tree == oracle_fit_tree(x, y)
+        for rows in (x, queries):
+            assert np.array_equal(predict(tree, rows), oracle_predict(tree, rows))
+
+    def test_equal_columns_across_blocks_prefer_earlier_block(self):
+        rng = np.random.default_rng(11)
+        y = np.tile([0, 1], 20)
+        x = rng.integers(0, 3, size=(40, _BLOCK + 60)).astype(float)
+        separator = y * 2.0 + rng.integers(0, 2, size=40)  # 0/1 vs 2/3
+        x[:, 0] = separator
+        x[:, _BLOCK + 44] = separator
+        tree = fit_tree(x, y)
+        assert tree.feature == 0
+        assert tree.threshold == 1.5
+        assert tree == oracle_fit_tree(x, y)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +213,29 @@ class TestEvaluate:
         good, _ = evaluate_subset(ds.matrix, ds.labels, informative, n_splits=6, base_seed=0)
         bad, _ = evaluate_subset(ds.matrix, ds.labels, noise, n_splits=6, base_seed=0)
         assert good > bad
+
+    def test_split_plans_are_built_once_per_setting(self, monkeypatch):
+        ds = make_planted(13, 16, 12, 3, 1.5, seed=8)
+        built = []
+
+        def counting_split(labels, test_fraction, seed):
+            built.append(seed)
+            return stratified_split(labels, test_fraction, seed)
+
+        monkeypatch.setattr(classifier, "stratified_split", counting_split)
+        monkeypatch.setattr(classifier, "_plan_memo", {})
+        evaluate_subset(ds.matrix, ds.labels, np.arange(12), n_splits=4, base_seed=3)
+        _, again = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=4, base_seed=3)
+        _, shifted = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=4, base_seed=4)
+        solo = evaluate_split(ds.matrix, ds.labels, np.arange(5), 0.2, seed=5)
+        assert built == [3, 4, 5, 6, 7]
+        assert again[2].as_dict() == shifted[1].as_dict() == solo.as_dict()
+
+    def test_split_plan_memo_is_bounded(self):
+        matrix, labels = random_dataset(6, 6, 2, seed=1)
+        for seed in range(classifier._PLAN_MEMO_SIZE + 20):
+            evaluate_split(matrix, labels, np.arange(2), 0.25, seed)
+        assert len(classifier._plan_memo) <= classifier._PLAN_MEMO_SIZE
 
     def test_n_splits_validated(self):
         matrix, labels = random_dataset(6, 6, 4, seed=0)

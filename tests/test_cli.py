@@ -73,6 +73,17 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert report["features"] == [0, 3, 5]
 
+    def test_evaluate_adjacent_floats(self, capsys, tmp_path):
+        # the two values' midpoint rounds onto the upper one; the classes
+        # must still be split, not recursed on until RecursionError
+        below, above = repr(1 + 2**-52), repr(1 + 2**-51)
+        rows = [f"{below},0.0,neg" if i % 2 == 0 else f"{above},0.0,pos" for i in range(20)]
+        path = tmp_path / "adjacent.csv"
+        path.write_text("\n".join(["f0,f1,label", *rows]) + "\n")
+        code, report = run_cli(capsys, "evaluate", str(path), "--n-splits", "3")
+        assert code == EXIT_OK
+        assert report["mean_overall"] == 1.0
+
     def test_pipeline(self, capsys, data_csv):
         code, report = run_cli(capsys, "pipeline", data_csv, *FAST)
         assert code == EXIT_OK
