@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifier import evaluate_subset, mean_metrics
 from .data import DataError, load_csv
-from .feature_space import EmptyClusterError, build_feature_space, cluster_features
+from .feature_space import build_feature_space, cluster_features
 from .ga import SubsetOptimizer, write_convergence_csv
 from .pipeline import (
     SEED_EVAL,
@@ -323,8 +323,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"dmc-gawar: invalid option: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EmptyClusterError, AssertionError) as exc:
-        print(f"dmc-gawar: internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything else is a fault: one line, no traceback
+        print(f"dmc-gawar: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
 

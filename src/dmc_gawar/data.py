@@ -4,6 +4,12 @@ A dataset is an n-by-m numeric feature matrix plus a binary label vector.
 Labels are encoded by first appearance in the file: the first label string
 seen becomes class 0, the second becomes class 1.  All containers are
 immutable after construction and safe to share across threads.
+
+``load_csv`` parses one whole row per call with ``float`` into a float64
+array and checks it with ``isfinite``; only a row that fails is scanned
+again cell by cell to report the first bad cell.  Errors therefore come in
+the same left-to-right, top-to-bottom order as a cell-by-cell parse, and
+no list of Python floats for the whole file is built.
 """
 
 from __future__ import annotations
@@ -127,18 +133,34 @@ class SplitPlan:
     seed: int
 
 
+def _row_error(line_no: int, record: list[str], label_idx: int) -> DataError:
+    """The error of the first bad cell of a row, scanning left to right."""
+    for col_no, token in enumerate(record):
+        if col_no == label_idx:
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            return ParseError(line_no, col_no + 1, token)
+        if not math.isfinite(value):
+            return NonFiniteValueError(line_no, col_no + 1)
+    raise AssertionError(f"row {line_no} holds no bad cell")
+
+
 def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, LabelVector]:
     """Load a UTF-8 comma-separated file with one header row.
 
     ``label_column`` selects the label column by header name; by default the
     last column is the label.  Every other cell must parse as a finite real.
-    The two label strings are encoded 0/1 by first appearance.
+    The two label strings are encoded 0/1 by first appearance.  A leading
+    byte-order mark is dropped.  An error names the first bad cell of the
+    first bad row.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
@@ -151,7 +173,8 @@ def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, Labe
             except ValueError:
                 raise DataError(f"label column {label_column!r} not found in header") from None
 
-        rows: list[list[float]] = []
+        m = len(header) - 1
+        rows: list[np.ndarray] = []
         label_strings: list[str] = []
         for line_no, record in enumerate(reader, start=2):
             if not record:
@@ -159,17 +182,13 @@ def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, Labe
             if len(record) != len(header):
                 raise ParseError(line_no, 1, f"<{len(record)} fields, expected {len(header)}>")
             label_strings.append(record[label_idx])
-            row = []
-            for col_no, token in enumerate(record):
-                if col_no == label_idx:
-                    continue
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise ParseError(line_no, col_no + 1, token) from None
-                if not math.isfinite(value):
-                    raise NonFiniteValueError(line_no, col_no + 1)
-                row.append(value)
+            cells = record[:label_idx] + record[label_idx + 1 :]
+            try:
+                row = np.fromiter(map(float, cells), dtype=float, count=m)
+            except ValueError:
+                raise _row_error(line_no, record, label_idx) from None
+            if not np.isfinite(row).all():
+                raise _row_error(line_no, record, label_idx)
             rows.append(row)
 
     class_names: list[str] = []
@@ -183,7 +202,7 @@ def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, Labe
         raise DataError("each class needs at least 2 samples")
 
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    matrix = FeatureMatrix(np.array(rows, dtype=float), feature_names)
+    matrix = FeatureMatrix(np.stack(rows), feature_names)
     labels = LabelVector(codes, (class_names[0], class_names[1]))
     return matrix, labels
 

@@ -5,6 +5,14 @@ treated as points (one point per feature, coordinates are its values across
 samples).  KMeans groups correlated features together; drawing one member
 per cluster gives a candidate pool whose members carry complementary signal
 rather than near-duplicates.
+
+KMeans is k-means++ seeding plus Lloyd iterations.  Each assignment step
+fills the (points x centroids) squared-distance matrix ``ASSIGN_BLOCK``
+points at a time with the same broadcast expression, so every distance
+is bit-identical to a one-shot (points x centroids x samples) broadcast
+while the temporary stays small.  A |p|^2 - 2 p.c + |c|^2 matrix product
+would be faster but rounds differently, and could move a point between
+equidistant clusters.
 """
 
 from __future__ import annotations
@@ -14,6 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureMatrix
+
+
+# Points per pass of the assignment step: at q = 100 centroids of 100
+# coordinates the (block, q, d) temporary is 1.3 MB instead of 80 MB
+# for all 1000 points at once.  16 timed faster than 4, 8, 32 or 64.
+ASSIGN_BLOCK = 16
 
 
 class EmptyClusterError(Exception):
@@ -75,10 +89,13 @@ def _kmeanspp_seed(points: np.ndarray, q: int, rng: np.random.Generator) -> np.n
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # squared distances point-to-centroid, shape (n, q)
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assignments = d2.argmin(axis=1)
-    return assignments, d2
+    """Nearest centroid of each point, and the (n, q) squared distances."""
+    d2 = np.empty((points.shape[0], centroids.shape[0]))
+    for i in range(0, points.shape[0], ASSIGN_BLOCK):
+        block = points[i : i + ASSIGN_BLOCK]
+        d2[i : i + ASSIGN_BLOCK] = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1), d2
+
 
 def _repair_empty(
     points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray, d2: np.ndarray
@@ -152,6 +169,8 @@ def cluster_features(
         raise ValueError("retained feature set is empty")
     if q < 1:
         raise ValueError("q must be at least 1")
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be at least 1")
     q = min(q, len(retained))
     points = minmax_normalize(matrix.values[:, retained]).T  # one row per feature
 

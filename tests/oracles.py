@@ -61,6 +61,58 @@ def oracle_dmc(values, labels):
     return ratio(num_x, den_x) + ratio(num_y, den_y)
 
 
+def _column_region(values, labels):
+    order = np.argsort(values, kind="stable")
+    sorted_labels = labels[order]
+    x = int(sorted_labels[0])
+    start = int(np.flatnonzero(sorted_labels == 1 - x)[0])
+    end = int(np.flatnonzero(sorted_labels == x)[-1])
+    return order, start, end, x
+
+
+def oracle_column_mc(values, labels):
+    """The one-column width score as numpy computed it before block-wise
+    ranking; ``score_features(..., "mc")`` must equal it exactly."""
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    _, start, end, _ = _column_region(values, labels)
+    width = 0 if end < start else end - start + 1
+    return width / len(values)
+
+
+def oracle_column_dmc(values, labels):
+    """The one-column distance score as numpy computed it before block-wise
+    ranking: each of the four distance sums is a 1-D ``ndarray.sum`` (a
+    pairwise sum), so ``score_features(..., "dmc")`` must equal it exactly."""
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    order, start, end, x = _column_region(values, labels)
+    if end < start:
+        return 0.0
+    sorted_values = values[order]
+    sorted_labels = labels[order]
+    inside = np.zeros(len(values), dtype=bool)
+    inside[start : end + 1] = True
+    score = 0.0
+    for cls, anchor in ((x, sorted_values[start]), (1 - x, sorted_values[end])):
+        is_cls = sorted_labels == cls
+        distances = np.abs(sorted_values - anchor)
+        numerator = float(distances[is_cls & inside].sum())
+        denominator = float(distances[is_cls & ~inside].sum())
+        if denominator > 0.0:
+            score += numerator / denominator
+        elif numerator > 0.0:
+            score += 1e6
+    return score
+
+
+def oracle_assign(points, centroids):
+    """Nearest centroid and (n, q) squared distances from one (n, q, d)
+    broadcast, the k-means assignment before it was blocked."""
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1), d2
+
+
 def oracle_metrics(tp, tn, fp, fn):
     total = tp + tn + fp + fn
     overall = (tp + tn) / total if total else 0.0

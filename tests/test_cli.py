@@ -170,6 +170,21 @@ class TestExitCodes:
             main(["rank", data_csv, "--bogus"])
         assert info.value.code == EXIT_USAGE
 
+    def test_zero_restarts_is_usage_error(self, capsys, data_csv):
+        code = main(["cluster", data_csv, "--n-restarts", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "dmc-gawar: invalid option: n_restarts must be at least 1\n"
+
+    def test_unexpected_exception_is_one_line_internal_error(self, capsys, data_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"q": "7"}))  # a string where an int belongs
+        code = main(["cluster", data_csv, "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INTERNAL
+        assert err.startswith("dmc-gawar: internal error: ")
+        assert err.count("\n") == 1
+
     def test_output_file(self, capsys, data_csv, tmp_path):
         out = tmp_path / "report.json"
         code = main(["rank", data_csv, "--keep-fraction", "0.25", "--output", str(out)])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dmc_gawar.data import (
     DataError,
@@ -18,6 +21,23 @@ from dmc_gawar.data import (
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+_NAME = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Cf")), max_size=6)
+
+
+@st.composite
+def datasets(draw):
+    """(matrix, labels): any finite float64 cells; names with commas,
+    quotes and spaces; labels coded in any order, two per class."""
+    n = draw(st.integers(4, 12))
+    m = draw(st.integers(1, 5))
+    values = draw(arrays(float, (n, m), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    names = draw(st.lists(_NAME, min_size=m, max_size=m, unique=True))
+    class_names = draw(st.lists(_NAME, min_size=2, max_size=2, unique=True))
+    codes = draw(arrays(int, n, elements=st.integers(0, 1)))
+    codes[:4] = draw(st.permutations([0, 0, 1, 1]))
+    return FeatureMatrix(values, names), LabelVector(codes, tuple(class_names))
 
 
 class TestLoadCsv:
@@ -80,6 +100,53 @@ class TestLoadCsv:
         path = write(tmp_path / "d.csv", "x,l\n1,a\n2,a\n3,a\n")
         with pytest.raises(NotBinaryLabelsError):
             load_csv(path)
+
+    def test_first_bad_cell_of_a_row_wins(self, tmp_path):
+        path = write(tmp_path / "d.csv", "x,y,z,l\n1,2,3,a\n4,inf,abc,b\n5,6,7,a\n8,9,0,b\n")
+        with pytest.raises(NonFiniteValueError) as info:
+            load_csv(path)
+        assert (info.value.row, info.value.col) == (3, 2)
+        path = write(tmp_path / "e.csv", "x,y,z,l\n1,2,3,a\n4,abc,inf,b\n5,6,7,a\n8,9,0,b\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert (info.value.row, info.value.col, info.value.token) == (3, 2, "abc")
+
+    def test_first_bad_row_wins(self, tmp_path):
+        path = write(tmp_path / "d.csv", "x,y,l\n1,nan,a\n3,oops,b\n5,6,a\n7,8,b\n")
+        with pytest.raises(NonFiniteValueError) as info:
+            load_csv(path)
+        assert (info.value.row, info.value.col) == (2, 2)
+
+    def test_errors_count_the_label_column_in_the_middle(self, tmp_path):
+        path = write(tmp_path / "d.csv", "x,l,y\n1,a,2\n3,b,-inf\n5,a,6\n7,b,8\n")
+        with pytest.raises(NonFiniteValueError) as info:
+            load_csv(path, label_column="l")
+        assert (info.value.row, info.value.col) == (3, 3)
+        path = write(tmp_path / "e.csv", "x,l,y\n1,a,2\n3,b,4\n5,a,six\n7,b,8\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path, label_column="l")
+        assert (info.value.row, info.value.col, info.value.token) == (4, 3, "six")
+        path = write(tmp_path / "f.csv", "x,l,y\n1,a,2\n3,b,4\n5,a,6\n7,b,8\n")
+        matrix, labels = load_csv(path, label_column="l")
+        assert matrix.values.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        assert matrix.feature_names == ("x", "y")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("\ufefff0,f1,l\n1,2,a\n3,4,b\n5,6,a\n7,8,b\n".encode("utf-8"))
+        matrix, _ = load_csv(path)
+        assert matrix.feature_names == ("f0", "f1")
+
+    @given(datasets())
+    def test_save_load_round_trip(self, tmp_path_factory, dataset):
+        matrix, labels = dataset
+        path = tmp_path_factory.mktemp("round") / "d.csv"
+        save_csv(matrix, labels, path)
+        loaded_matrix, loaded_labels = load_csv(path)
+        assert np.array_equal(loaded_matrix.values, matrix.values)
+        assert loaded_matrix.feature_names == matrix.feature_names
+        decoded = [loaded_labels.class_names[c] for c in loaded_labels.labels]
+        assert decoded == [labels.class_names[c] for c in labels.labels]
 
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path / "d.csv", "x,y,l\n1,2,a\n3,b\n5,6,a\n7,8,b\n")

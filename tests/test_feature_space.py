@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dmc_gawar.feature_space import (
+    ASSIGN_BLOCK,
     ClusterModel,
+    _assign,
     build_feature_space,
     cluster_features,
     minmax_normalize,
 )
 from conftest import make_dataset, random_dataset
+from oracles import oracle_assign
 
 
 class TestNormalize:
@@ -86,6 +91,29 @@ class TestClustering:
             cluster_features(matrix, np.array([], dtype=int), q=2, seed=0)
         with pytest.raises(ValueError):
             cluster_features(matrix, np.arange(6), q=0, seed=0)
+
+    def test_zero_restarts_rejected(self):
+        matrix, vec = random_dataset(5, 5, 6, seed=0)
+        with pytest.raises(ValueError, match="n_restarts"):
+            cluster_features(matrix, np.arange(6), q=2, seed=0, n_restarts=0)
+
+    @given(
+        st.integers(1, 5 * ASSIGN_BLOCK + 3),
+        st.integers(1, 8),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_assign_equals_broadcast(self, n, q, d, seed):
+        """Distances and assignments equal the one-broadcast reference,
+        for point counts on and off the block boundary; coordinates are
+        quarter steps on [0, 1], so equal distances and argmin ties occur."""
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 5, size=(n, d)) / 4.0
+        centroids = rng.integers(0, 5, size=(q, d)) / 4.0
+        assignments, d2 = _assign(points, centroids)
+        want_assignments, want_d2 = oracle_assign(points, centroids)
+        assert np.array_equal(d2, want_d2)
+        assert np.array_equal(assignments, want_assignments)
 
 
 class TestFeatureSpace:

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dmc_gawar import rankers
 from dmc_gawar.rankers import (
+    SCORE_BLOCK,
     ZERO_DENOMINATOR_SENTINEL,
     dmc_score,
     find_region,
@@ -12,7 +18,27 @@ from dmc_gawar.rankers import (
     score_features,
 )
 from conftest import make_dataset, random_dataset
-from oracles import oracle_dmc, oracle_mc, oracle_region
+from oracles import oracle_column_dmc, oracle_column_mc, oracle_dmc, oracle_mc, oracle_region
+
+
+@st.composite
+def tie_heavy_screens(draw):
+    """(values, labels): n 4..300 rows, so sums cross numpy's 128-element
+    pairwise block; small-integer columns scaled by powers of ten, some
+    made constant, some left as arbitrary floats; both classes twice.
+    Hypothesis draws the shape and a seed; numpy fills the arrays."""
+    n = draw(st.integers(4, 300))
+    m = draw(st.integers(1, 12))
+    top = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, top + 1, size=(n, m)) * 10.0 ** rng.integers(-6, 7, size=m)
+    for column in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        values[:, column] = values[0, column]
+    for column in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        values[:, column] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7)
+    labels = np.zeros(n, dtype=int)
+    labels[rng.choice(n, size=draw(st.integers(2, n - 2)), replace=False)] = 1
+    return values, labels
 
 
 class TestRegion:
@@ -93,6 +119,41 @@ class TestScores:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             find_region(np.array([1.0, 2.0]), np.array([0, 1, 0]))
+        with pytest.raises(ValueError):
+            dmc_score(np.array([1.0, 2.0]), np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize("scorer", [find_region, dmc_score, mc_score])
+    def test_single_class_rejected(self, scorer):
+        with pytest.raises(ValueError, match="needs both classes"):
+            scorer(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
+
+    @given(tie_heavy_screens(), st.integers(1, 5))
+    def test_blocks_equal_per_column_reference(self, screen, block):
+        """Block-wise scores are bit-identical to the per-column numpy
+        scores, for blocks smaller than, equal to and larger than m."""
+        values, labels = screen
+        matrix, vec = make_dataset(values, labels)
+        with mock.patch.object(rankers, "SCORE_BLOCK", block):
+            dmc = score_features(matrix, vec, "dmc")
+            mc = score_features(matrix, vec, "mc")
+        for j in range(matrix.m):
+            assert dmc[j] == oracle_column_dmc(values[:, j], labels), j
+            assert mc[j] == oracle_column_mc(values[:, j], labels), j
+        assert dmc_score(values[:, 0], labels) == dmc[0]
+        assert mc_score(values[:, 0], labels) == mc[0]
+
+    def test_full_block_and_remainder_equal_reference(self):
+        rng = np.random.default_rng(11)
+        n, m = 140, SCORE_BLOCK + 9
+        values = rng.integers(0, 6, size=(n, m)) * 10.0 ** rng.integers(-4, 5, size=m)
+        values[:, 1::7] = np.round(rng.standard_normal((n, len(range(1, m, 7)))), 2)
+        values[:, SCORE_BLOCK + 3] = 2.5
+        labels = (rng.random(n) < 0.4).astype(int)
+        matrix, vec = make_dataset(values, labels)
+        dmc = score_features(matrix, vec, "dmc")
+        mc = score_features(matrix, vec, "mc")
+        assert dmc.tolist() == [oracle_column_dmc(values[:, j], labels) for j in range(m)]
+        assert mc.tolist() == [oracle_column_mc(values[:, j], labels) for j in range(m)]
 
 
 class TestRanking:
