@@ -33,6 +33,7 @@ from .pipeline import (
     experiment_report,
     pipeline_report,
     random_baseline,
+    require_search_features,
     run_experiment,
     run_pipeline,
     write_json,
@@ -213,6 +214,7 @@ def _cmd_cluster(args) -> dict:
 def _cmd_optimize(args) -> dict:
     matrix, labels = load_csv(args.data, args.label_column)
     config = _merge_config(args)
+    require_search_features(matrix.m)
     m_keep, q_eff, n_var_eff = effective_sizes(matrix.m, config)
     order = order_by_score(score_features(matrix, labels, config.method))
     retained = order[:m_keep]

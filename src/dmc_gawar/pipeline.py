@@ -9,13 +9,14 @@ the "after" overall accuracy equal the best fitness the search reports.
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .classifier import ClassificationMetrics, evaluate_subset, mean_metrics
-from .data import FeatureMatrix, LabelVector
+from .data import DataError, FeatureMatrix, LabelVector
 from .feature_space import build_feature_space, cluster_features
 from .ga import GAResult, SubsetOptimizer
 from .rankers import keep_count, rank_all
@@ -46,12 +47,27 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be at least 1")
-        if self.n_var < 1:
-            raise ValueError("n_var must be at least 1")
+        """The one gate for option values, from flags, config files or code."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type in ("int", int) and (
+                not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            ):
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
+            if field.type in ("float", float) and (
+                not isinstance(value, numbers.Real) or isinstance(value, bool)
+            ):
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
+        if self.method not in ("dmc", "mc"):
+            raise ValueError(f"method must be 'dmc' or 'mc', got {self.method!r}")
+        if not 0.0 < self.keep_fraction <= 1.0:
+            raise ValueError("keep_fraction must be in (0, 1]")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
+        least = {"q": 1, "n_var": 1, "n_pop": 2, "n_splits": 1, "n_restarts": 1}
+        for name, bound in least.items():
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be at least {bound}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +98,12 @@ def effective_sizes(m: int, config: PipelineConfig) -> tuple[int, int, int]:
     return m_keep, q_eff, n_var_eff
 
 
+def require_search_features(m: int) -> None:
+    """The search needs a pool larger than its subset, so at least 2 features."""
+    if m < 2:
+        raise DataError(f"the subset search needs at least 2 features, the data has {m}")
+
+
 def _build_space(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -100,6 +122,7 @@ def run_pipeline(
 ) -> PipelineResult:
     """Rank, cluster, pool, search, then score before and after selection."""
     started = time.perf_counter()
+    require_search_features(matrix.m)
     retained, space, n_var_eff = _build_space(matrix, labels, config)
     eval_seed = config.seed + SEED_EVAL
 

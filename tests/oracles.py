@@ -143,6 +143,18 @@ def _oracle_tree_leaf(y):
     return TreeNode(prediction=1 if ones > zeros else 0)
 
 
+def oracle_weighted_gini(left_n, left_ones, n, ones):
+    """Weighted child Gini of cuts, elementwise from integer counts."""
+    right_n = n - left_n
+    right_ones = ones - left_ones
+    left_zeros = left_n - left_ones
+    right_zeros = right_n - right_ones
+
+    gini_left = 1.0 - (left_ones / left_n) ** 2 - (left_zeros / left_n) ** 2
+    gini_right = 1.0 - (right_ones / right_n) ** 2 - (right_zeros / right_n) ** 2
+    return (left_n * gini_left + right_n * gini_right) / n
+
+
 def _oracle_best_split(x, y):
     """(threshold, weighted Gini) of one column's best midpoint, or None
     for a constant column; the ascending sweep keeps the first minimum."""
@@ -152,20 +164,8 @@ def _oracle_best_split(x, y):
     cut = np.flatnonzero(xs[:-1] < xs[1:])
     if len(cut) == 0:
         return None
-    n = len(y)
     ones_cum = np.cumsum(ys)
-    total_ones = ones_cum[-1]
-
-    left_n = cut + 1
-    right_n = n - left_n
-    left_ones = ones_cum[cut]
-    right_ones = total_ones - left_ones
-    left_zeros = left_n - left_ones
-    right_zeros = right_n - right_ones
-
-    gini_left = 1.0 - (left_ones / left_n) ** 2 - (left_zeros / left_n) ** 2
-    gini_right = 1.0 - (right_ones / right_n) ** 2 - (right_zeros / right_n) ** 2
-    weighted = (left_n * gini_left + right_n * gini_right) / n
+    weighted = oracle_weighted_gini(cut + 1, ones_cum[cut], len(y), ones_cum[-1])
 
     best = int(np.argmin(weighted))
     pos = cut[best]

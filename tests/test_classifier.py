@@ -18,19 +18,22 @@ from dmc_gawar.classifier import (
 from dmc_gawar.data import stratified_split
 from dmc_gawar.synthetic import make_planted, make_xor
 from conftest import random_dataset
-from oracles import oracle_fit_tree, oracle_metrics, oracle_predict
+from oracles import oracle_fit_tree, oracle_metrics, oracle_predict, oracle_weighted_gini
 
 
 @st.composite
 def tie_heavy_problems(draw):
-    """(x, y, queries): small-integer columns with duplicate rows and
-    constant columns; queries add the half-integers thresholds land on."""
-    n = draw(st.integers(2, 60))
+    """(x, y, queries): small-integer columns with duplicate rows, some
+    columns without ties and constant columns; queries add the
+    half-integers thresholds land on."""
+    n = draw(st.integers(2, 120))
     m = draw(st.integers(1, 12))
     top = draw(st.integers(0, 4))
     x = draw(arrays(float, (n, m), elements=st.integers(0, top).map(float)))
     for source, target in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
         x[target] = x[source]
+    for column in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        x[:, column] = draw(st.permutations(range(n)))  # no ties in this column
     for column in draw(st.sets(st.integers(0, m - 1), max_size=m)):
         x[:, column] = x[0, column]
     y = draw(arrays(int, n, elements=st.integers(0, 1)))
@@ -115,10 +118,85 @@ class TestTree:
     @given(tie_heavy_problems())
     def test_matches_oracle_on_tie_heavy_inputs(self, problem):
         x, y, queries = problem
-        tree = fit_tree(x, y)
+        # fits of up to 40 rows read the Gini table, larger ones the formula;
+        # blocks of 3 columns put most fits over more than one block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", 40)
+            patch.setattr(classifier, "_BLOCK", 3)
+            tree = fit_tree(x, y)
         assert tree == oracle_fit_tree(x, y)
         for rows in (x, queries):
             assert np.array_equal(predict(tree, rows), oracle_predict(tree, rows))
+
+    @staticmethod
+    def assert_table_is_bit_identical(root, n, ones, left_n, left_ones):
+        """Weighted Ginis read from the table of a `root`-row fit, indexed as
+        ``_node_split`` does, equal the integer-count formula bit for bit."""
+        terms = classifier._table_for(root)
+        stride = root + 1
+        left = left_n * stride + left_ones
+        from_table = (terms[left] + terms[n * stride + ones - left]) / n
+        want = oracle_weighted_gini(left_n, left_ones, n, ones)
+        assert np.array_equal(from_table.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("root", [2, 3, 17, 64])
+    def test_gini_table_matches_formula_on_every_cut(self, root):
+        # every (node size, node ones, left size, left ones) the fit can meet
+        cases = np.array([
+            (n, ones, left_n, left_ones)
+            for n in range(2, root + 1)
+            for ones in range(n + 1)
+            for left_n in range(1, n)
+            for left_ones in range(max(0, ones - (n - left_n)), min(left_n, ones) + 1)
+        ]).T
+        self.assert_table_is_bit_identical(root, *cases)
+
+    def test_gini_table_matches_formula_at_the_row_bound(self):
+        root = classifier.GINI_TABLE_MAX_ROWS
+        rng = np.random.default_rng(5)
+        n = rng.integers(2, root + 1, size=200_000)
+        ones = rng.integers(0, n + 1)
+        left_n = rng.integers(1, n)
+        left_ones = rng.integers(np.maximum(0, ones - (n - left_n)), np.minimum(left_n, ones) + 1)
+        self.assert_table_is_bit_identical(root, n, ones, left_n, left_ones)
+
+    def test_only_fits_within_the_row_bound_build_a_table(self, monkeypatch):
+        monkeypatch.setattr(classifier, "_gini_table", None)
+        rng = np.random.default_rng(3)
+        tall = classifier.GINI_TABLE_MAX_ROWS + 1
+        fit_tree(rng.standard_normal((tall, 2)), np.arange(tall) % 2)
+        assert classifier._gini_table is None
+        fit_tree(rng.standard_normal((30, 2)), np.arange(30) % 2)
+        root, terms = classifier._gini_table
+        assert root == 30
+        assert terms.shape == (31 * 31,)
+
+    def test_ranks_wider_than_a_byte_keep_their_gaps(self):
+        # Column 1 holds 600 distinct values; only those 265-274 are class
+        # 1.  The root splits on column 0, isolating the rows valued 0-9 or
+        # 265-274; their pure cut lies between values 9 and 265, whose
+        # ranks differ by exactly 256.
+        b = np.arange(600.0)
+        in_group = (b <= 9) | ((b >= 265) & (b <= 274))
+        x = np.column_stack([(~in_group).astype(float), b])
+        y = (in_group & (b >= 265)).astype(int)
+        tree = fit_tree(x, y)
+        assert tree == oracle_fit_tree(x, y)
+        assert tree.left.threshold == 137.0
+
+    def test_deep_tree_grows_without_recursion(self):
+        # alternating labels on distinct values need a cut between every
+        # pair of rows; one Python frame per level would exceed the limit
+        n = 2400
+        x = np.arange(n, dtype=float)[:, None]
+        y = np.arange(n) % 2
+        tree = fit_tree(x, y)
+        assert np.array_equal(predict(tree, x), y)
+        assert np.array_equal(predict(tree, x + 0.25), y)
+
+    def test_labels_must_be_binary(self):
+        with pytest.raises(ValueError, match="0/1"):
+            fit_tree(np.zeros((3, 1)), np.array([0, 2, 1]))
 
     def test_equal_columns_across_blocks_prefer_earlier_block(self):
         rng = np.random.default_rng(11)
@@ -159,6 +237,20 @@ class TestMetrics:
             for key in want:
                 assert got[key] == pytest.approx(want[key], abs=1e-12), key
 
+    def test_counts_and_scores_match_oracle_exhaustively(self):
+        # every (TP, TN, FP, FN) with at most 13 cases, as label vectors
+        for total in range(1, 14):
+            for tp in range(total + 1):
+                for tn in range(total - tp + 1):
+                    for fp in range(total - tp - tn + 1):
+                        fn = total - tp - tn - fp
+                        y_true = np.array([1] * tp + [0] * tn + [0] * fp + [1] * fn)
+                        y_pred = np.array([1] * tp + [0] * tn + [1] * fp + [0] * fn)
+                        counts = confusion_counts(y_true, y_pred)
+                        assert counts == (tp, tn, fp, fn)
+                        got = ClassificationMetrics.from_counts(*counts).as_dict()
+                        assert got == oracle_metrics(tp, tn, fp, fn), counts
+
     def test_zero_denominators_collapse_to_zero(self):
         metrics = ClassificationMetrics.from_counts(0, 5, 0, 0)
         assert metrics.recall == 0.0
@@ -171,6 +263,14 @@ class TestMetrics:
         y_true = np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
         y_pred = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 1])
         assert confusion_counts(y_true, y_pred) == (3, 5, 1, 1)
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred",
+        [([0, 1], [2, 1]), ([1, 0], [-1, 0]), ([3, 0], [1, 0]), ([0, -2], [0, 0])],
+    )
+    def test_confusion_counts_reject_values_other_than_zero_and_one(self, y_true, y_pred):
+        with pytest.raises(ValueError, match="0/1"):
+            confusion_counts(np.array(y_true), np.array(y_pred))
 
     def test_mean_metrics(self):
         splits = [

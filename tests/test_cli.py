@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dmc_gawar import cli
 from dmc_gawar.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dmc_gawar.data import save_csv
 from dmc_gawar.synthetic import make_planted
@@ -83,6 +84,18 @@ class TestSubcommands:
         code, report = run_cli(capsys, "evaluate", str(path), "--n-splits", "3")
         assert code == EXIT_OK
         assert report["mean_overall"] == 1.0
+
+    def test_evaluate_deep_tree(self, capsys, tmp_path):
+        # nearly a cut between every pair of training rows: a tree far
+        # deeper than the interpreter's recursion limit
+        rows = [f"{i}.0,{'pos' if i % 2 else 'neg'}" for i in range(2400)]
+        path = tmp_path / "deep.csv"
+        path.write_text("\n".join(["f0,label", *rows]) + "\n")
+        code, report = run_cli(
+            capsys, "evaluate", str(path), "--n-splits", "1", "--test-fraction", "0.01"
+        )
+        assert code == EXIT_OK
+        assert report["features"] == [0]
 
     def test_pipeline(self, capsys, data_csv):
         code, report = run_cli(capsys, "pipeline", data_csv, *FAST)
@@ -176,14 +189,47 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert err == "dmc-gawar: invalid option: n_restarts must be at least 1\n"
 
-    def test_unexpected_exception_is_one_line_internal_error(self, capsys, data_csv, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"q": "7"}))  # a string where an int belongs
-        code = main(["cluster", data_csv, "--config", str(config)])
+    def test_unexpected_exception_is_one_line_internal_error(self, capsys, data_csv, monkeypatch):
+        def failing_handler(args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_cluster", failing_handler)
+        code = main(["cluster", data_csv])
         err = capsys.readouterr().err
         assert code == EXIT_INTERNAL
-        assert err.startswith("dmc-gawar: internal error: ")
-        assert err.count("\n") == 1
+        assert err == "dmc-gawar: internal error: KeyError: 'boom'\n"
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"q": "7"}, "q must be an integer, got '7'"),
+            ({"n_pop": True}, "n_pop must be an integer, got True"),
+            ({"keep_fraction": "0.5"}, "keep_fraction must be a number, got '0.5'"),
+        ],
+    )
+    def test_bad_config_values_are_usage_errors(self, capsys, data_csv, tmp_path, entries, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entries))
+        code = main(["cluster", data_csv, "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == f"dmc-gawar: invalid option: {message}\n"
+
+    def test_one_feature_search_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        rows = [f"{i * 0.5},{'pos' if i % 2 else 'neg'}" for i in range(12)]
+        path.write_text("\n".join(["f0,label", *rows]) + "\n")
+        for command in ("optimize", "pipeline", "experiment"):
+            code = main([command, str(path)])
+            err = capsys.readouterr().err
+            assert code == EXIT_DATA, command
+            assert err == (
+                "dmc-gawar: data error: the subset search needs at least 2 features, "
+                "the data has 1\n"
+            )
+        for command in ("rank", "cluster", "evaluate", "baseline"):
+            code, _ = run_cli(capsys, command, str(path))
+            assert code == EXIT_OK, command
 
     def test_output_file(self, capsys, data_csv, tmp_path):
         out = tmp_path / "report.json"

@@ -1,6 +1,11 @@
+import hashlib
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from dmc_gawar.data import DataError, FeatureMatrix
 from dmc_gawar.pipeline import (
     PipelineConfig,
     baseline_report,
@@ -23,6 +28,42 @@ SMALL = PipelineConfig(
 @pytest.fixture(scope="module")
 def planted():
     return make_planted(15, 25, 40, 4, 2.0, seed=3)
+
+
+class TestConfigGate:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"q": "7"}, "q must be an integer"),
+            ({"n_var": 2.0}, "n_var must be an integer"),
+            ({"n_restarts": False}, "n_restarts must be an integer"),
+            ({"test_fraction": None}, "test_fraction must be a number"),
+            ({"keep_fraction": True}, "keep_fraction must be a number"),
+            ({"method": "MC"}, "method must be 'dmc' or 'mc'"),
+            ({"keep_fraction": 0.0}, r"keep_fraction must be in \(0, 1\]"),
+            ({"keep_fraction": 1.5}, r"keep_fraction must be in \(0, 1\]"),
+            ({"test_fraction": 1.0}, r"test_fraction must be in \(0, 1\)"),
+            ({"q": 0}, "q must be at least 1"),
+            ({"n_var": 0}, "n_var must be at least 1"),
+            ({"n_pop": 1}, "n_pop must be at least 2"),
+            ({"n_splits": 0}, "n_splits must be at least 1"),
+            ({"n_restarts": 0}, "n_restarts must be at least 1"),
+        ],
+    )
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(PipelineConfig) if type(f.default) in (int, float)]
+    )
+    def test_every_numeric_field_is_type_checked(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be (an integer|a number), got '7'$"):
+            PipelineConfig(**{name: "7"})
+
+    def test_accepts_numpy_scalars_and_whole_fractions(self):
+        config = PipelineConfig(q=np.int64(5), keep_fraction=1, test_fraction=np.float64(0.25))
+        assert config.q == 5
 
 
 class TestEffectiveSizes:
@@ -88,6 +129,32 @@ class TestRunPipeline:
         write_json(pipeline_report(run_pipeline(planted.matrix, planted.labels, SMALL)), first)
         write_json(pipeline_report(run_pipeline(planted.matrix, planted.labels, SMALL)), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "rounded, digest",
+        [
+            (False, "d681a6e16eb05752137b24b362c9f923b67beed63b2c5660c099c751bf402b23"),
+            (True, "88372679174bc2ac48d40fa3b6054b216f9e788368bbf72180c12ec0d7e3ce18"),
+        ],
+        ids=["continuous", "tied"],
+    )
+    def test_report_fingerprint_is_pinned(self, rounded, digest):
+        # 109 and 114 fitness evaluations; rounding to integers makes most
+        # cuts tie.  A change to any report byte changes the digest.
+        ds = make_planted(20, 30, 300, 10, 1.2, seed=42)
+        matrix = ds.matrix
+        if rounded:
+            matrix = FeatureMatrix(np.round(matrix.values), matrix.feature_names)
+        config = PipelineConfig(
+            keep_fraction=0.1, q=20, n_var=5, n_pop=10, stagnation_limit=10, n_splits=5, seed=7
+        )
+        report = pipeline_report(run_pipeline(matrix, ds.labels, config))
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+    def test_one_feature_cannot_be_searched(self, planted):
+        matrix = FeatureMatrix(planted.matrix.values[:, :1], ("f0",))
+        with pytest.raises(DataError, match="at least 2 features, the data has 1"):
+            run_pipeline(matrix, planted.labels, SMALL)
 
     def test_seed_changes_result(self, planted):
         other = PipelineConfig(
