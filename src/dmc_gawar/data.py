@@ -15,6 +15,7 @@ no list of Python floats for the whole file is built.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -207,15 +208,24 @@ def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, Labe
     return matrix, labels
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a csv writer writes it inside a row of several fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["", text])
+    return buffer.getvalue()[1 : -len("\r\n")]
+
+
 def save_csv(matrix: FeatureMatrix, labels: LabelVector, path, label_name: str = "label") -> None:
-    """Write the dataset back to CSV; values use shortest round-trip formatting."""
+    """Write the dataset back to CSV; values use shortest round-trip formatting.
+
+    Header and class names are quoted as ``csv.writer`` quotes them; a
+    value's ``repr`` never needs quoting, so value cells are joined as is.
+    """
+    cells = [_csv_cell(name) for name in labels.class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(matrix.feature_names) + [label_name])
-        for i in range(matrix.n):
-            row = [repr(float(v)) for v in matrix.values[i]]
-            row.append(labels.class_names[labels.labels[i]])
-            writer.writerow(row)
+        csv.writer(fh).writerow(list(matrix.feature_names) + [label_name])
+        for row, code in zip(matrix.values, labels.labels.tolist()):
+            fh.write(f"{','.join(map(repr, row.tolist()))},{cells[code]}\r\n")
 
 
 def stratified_split(labels: LabelVector, test_fraction: float, seed: int) -> SplitPlan:

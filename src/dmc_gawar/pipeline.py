@@ -64,7 +64,10 @@ class PipelineConfig:
             raise ValueError("keep_fraction must be in (0, 1]")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        least = {"q": 1, "n_var": 1, "n_pop": 2, "n_splits": 1, "n_restarts": 1}
+        least = {
+            "q": 1, "n_var": 1, "n_pop": 2, "n_splits": 1, "n_restarts": 1,
+            "stagnation_limit": 1, "max_iterations": 1,
+        }
         for name, bound in least.items():
             if getattr(self, name) < bound:
                 raise ValueError(f"{name} must be at least {bound}")

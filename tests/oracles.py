@@ -3,6 +3,7 @@ package.  Plain loops and literals on purpose; nothing here is imported
 from the library under test except the ``TreeNode`` container, so that
 reference trees compare equal (``==``) to the library's."""
 
+import csv
 import math
 
 import numpy as np
@@ -215,3 +216,15 @@ def oracle_predict(node, x):
             cursor = cursor.left if row[cursor.feature] <= cursor.threshold else cursor.right
         out.append(cursor.prediction)
     return np.array(out, dtype=int)
+
+
+def oracle_save_csv(matrix, labels, path, label_name="label"):
+    """The CSV writer before rows were joined by hand: every row, values
+    as ``repr(float(v))``, through ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(matrix.feature_names) + [label_name])
+        for i in range(matrix.n):
+            row = [repr(float(v)) for v in matrix.values[i]]
+            row.append(labels.class_names[labels.labels[i]])
+            writer.writerow(row)

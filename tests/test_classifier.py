@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from dmc_gawar import classifier
 from dmc_gawar.classifier import (
@@ -15,31 +14,59 @@ from dmc_gawar.classifier import (
     mean_metrics,
     predict,
 )
-from dmc_gawar.data import stratified_split
+from dmc_gawar.data import FeatureMatrix, LabelVector, stratified_split
 from dmc_gawar.synthetic import make_planted, make_xor
 from conftest import random_dataset
 from oracles import oracle_fit_tree, oracle_metrics, oracle_predict, oracle_weighted_gini
 
 
+def tie_heavy_arrays(rng, n, m, top):
+    """(x, y): small-integer columns (0..top) with duplicate rows, some
+    columns without ties and some constant columns."""
+    x = rng.integers(0, top + 1, size=(n, m)).astype(float)
+    for source, target in rng.integers(0, n, size=(rng.integers(0, n + 1), 2)):
+        x[target] = x[source]
+    for column in np.flatnonzero(rng.random(m) < 0.3):
+        x[:, column] = rng.permutation(n)  # no ties in this column
+    for column in np.flatnonzero(rng.random(m) < 0.2):
+        x[:, column] = x[0, column]
+    y = (rng.random(n) < rng.random()).astype(int)
+    return x, y
+
+
 @st.composite
 def tie_heavy_problems(draw):
-    """(x, y, queries): small-integer columns with duplicate rows, some
-    columns without ties and constant columns; queries add the
-    half-integers thresholds land on."""
+    """(x, y, queries) of ``tie_heavy_arrays``; queries add the
+    half-integers thresholds land on.  Hypothesis draws the shape, the
+    value range and a seed, numpy fills the arrays."""
     n = draw(st.integers(2, 120))
     m = draw(st.integers(1, 12))
     top = draw(st.integers(0, 4))
-    x = draw(arrays(float, (n, m), elements=st.integers(0, top).map(float)))
-    for source, target in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
-        x[target] = x[source]
-    for column in draw(st.sets(st.integers(0, m - 1), max_size=m)):
-        x[:, column] = draw(st.permutations(range(n)))  # no ties in this column
-    for column in draw(st.sets(st.integers(0, m - 1), max_size=m)):
-        x[:, column] = x[0, column]
-    y = draw(arrays(int, n, elements=st.integers(0, 1)))
-    halves = st.integers(-1, 2 * top + 1).map(lambda v: v / 2)
-    queries = draw(arrays(float, (draw(st.integers(0, 20)), m), elements=halves))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = tie_heavy_arrays(rng, n, m, top)
+    queries = rng.integers(-1, 2 * top + 2, size=(rng.integers(0, 21), m)) / 2
     return x, y, queries
+
+
+@st.composite
+def evaluation_problems(draw):
+    """(matrix, labels, features, n_splits, test fraction, base seed,
+    block) on ``tie_heavy_arrays`` data.  With at least 5 rows per class,
+    every fraction puts 1 to n_c - 1 rows of each class in test."""
+    n = draw(st.integers(10, 120))
+    m = draw(st.integers(1, 12))
+    top = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = tie_heavy_arrays(rng, n, m, top)
+    y[:10] = [0, 1] * 5
+    features = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    n_splits = draw(st.integers(1, 6))
+    test_fraction = draw(st.sampled_from([0.2, 0.25, 1 / 3, 0.5]))
+    base_seed = draw(st.integers(0, 1000))
+    block = draw(st.sampled_from([1, 2, 3, 5]))
+    matrix = FeatureMatrix(x, tuple(f"f{j}" for j in range(m)))
+    labels = LabelVector(y, ("a", "b"))
+    return matrix, labels, np.array(features), n_splits, test_fraction, base_seed, block
 
 
 class TestTree:
@@ -283,6 +310,27 @@ class TestMetrics:
 
 
 class TestEvaluate:
+    @given(evaluation_problems())
+    def test_matches_per_split_oracle_trees(self, problem):
+        matrix, labels, features, n_splits, test_fraction, base_seed, block = problem
+        x, y = matrix.values[:, features], labels.labels
+        want = []
+        for k in range(n_splits):
+            plan = stratified_split(labels, test_fraction, base_seed + k)
+            train, test = list(plan.train_indices), list(plan.test_indices)
+            predicted = oracle_predict(oracle_fit_tree(x[train], y[train]), x[test])
+            want.append(ClassificationMetrics.from_counts(*confusion_counts(y[test], predicted)))
+        # blocks of 1-5 (column, split) pairs: groups hold fewer splits than
+        # n_splits, and wide subsets score their columns over several blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", 40)
+            patch.setattr(classifier, "_BLOCK", block)
+            mean_overall, per_split = evaluate_subset(
+                matrix, labels, features, n_splits, test_fraction, base_seed
+            )
+        assert per_split == want
+        assert mean_overall == float(np.mean([m.overall for m in want]))
+
     def test_deterministic(self):
         ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
         features = np.arange(20)
@@ -336,6 +384,23 @@ class TestEvaluate:
         for seed in range(classifier._PLAN_MEMO_SIZE + 20):
             evaluate_split(matrix, labels, np.arange(2), 0.25, seed)
         assert len(classifier._plan_memo) <= classifier._PLAN_MEMO_SIZE
+
+    def test_test_value_on_a_threshold_goes_left(self):
+        # train rows sit at 0 (class 0) and 2 (class 1), so the root splits
+        # at 1.0; every test row sits exactly on it and is predicted 0
+        labels = LabelVector(np.array([0, 1] * 10), ("a", "b"))
+        plan = stratified_split(labels, 0.25, seed=3)
+        x = 2.0 * labels.labels[:, None]
+        x[list(plan.test_indices)] = 1.0
+        matrix = FeatureMatrix(x, ("f0",))
+        metrics = evaluate_split(matrix, labels, np.array([0]), 0.25, seed=3)
+        assert (metrics.tp, metrics.tn, metrics.fp, metrics.fn) == (0, 3, 0, 2)
+
+    @pytest.mark.parametrize("features", [[0, 4], [-1, 2], [1, 9]])
+    def test_features_must_be_columns(self, features):
+        matrix, labels = random_dataset(6, 6, 4, seed=0)
+        with pytest.raises(ValueError, match=r"column indices in 0\.\.3"):
+            evaluate_subset(matrix, labels, np.array(features))
 
     def test_n_splits_validated(self):
         matrix, labels = random_dataset(6, 6, 4, seed=0)

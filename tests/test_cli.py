@@ -189,6 +189,22 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert err == "dmc-gawar: invalid option: n_restarts must be at least 1\n"
 
+    def test_zero_iterations_is_usage_error(self, capsys, data_csv):
+        code = main(["optimize", data_csv, *FAST, "--max-iterations", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "dmc-gawar: invalid option: max_iterations must be at least 1\n"
+
+    def test_negative_stagnation_limit_in_config_is_usage_error(self, capsys, data_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"stagnation_limit": -1}))
+        code = main(["pipeline", data_csv, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "dmc-gawar: invalid option: stagnation_limit must be at least 1\n"
+
     def test_unexpected_exception_is_one_line_internal_error(self, capsys, data_csv, monkeypatch):
         def failing_handler(args):
             raise KeyError("boom")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from dmc_gawar.data import (
     save_csv,
     stratified_split,
 )
+from oracles import oracle_save_csv
 
 
 def write(path, text):
@@ -26,15 +29,19 @@ def write(path, text):
 _NAME = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Cf")), max_size=6)
 
 
+# Names the csv writer must quote: separators, quotes, line breaks, or empty.
+_CSV_NAME = st.text(st.sampled_from(list('a ,"\n\r;\'é')), max_size=6)
+
+
 @st.composite
-def datasets(draw):
-    """(matrix, labels): any finite float64 cells; names with commas,
-    quotes and spaces; labels coded in any order, two per class."""
+def datasets(draw, name=_NAME):
+    """(matrix, labels): any finite float64 cells; feature and class names
+    drawn from ``name``; labels coded in any order, two per class."""
     n = draw(st.integers(4, 12))
     m = draw(st.integers(1, 5))
     values = draw(arrays(float, (n, m), elements=st.floats(allow_nan=False, allow_infinity=False)))
-    names = draw(st.lists(_NAME, min_size=m, max_size=m, unique=True))
-    class_names = draw(st.lists(_NAME, min_size=2, max_size=2, unique=True))
+    names = draw(st.lists(name, min_size=m, max_size=m, unique=True))
+    class_names = draw(st.lists(name, min_size=2, max_size=2, unique=True))
     codes = draw(arrays(int, n, elements=st.integers(0, 1)))
     codes[:4] = draw(st.permutations([0, 0, 1, 1]))
     return FeatureMatrix(values, names), LabelVector(codes, tuple(class_names))
@@ -148,6 +155,14 @@ class TestLoadCsv:
         decoded = [loaded_labels.class_names[c] for c in loaded_labels.labels]
         assert decoded == [labels.class_names[c] for c in labels.labels]
 
+    @given(datasets(_CSV_NAME))
+    def test_save_writes_the_bytes_of_the_csv_writer(self, tmp_path_factory, dataset):
+        matrix, labels = dataset
+        folder = tmp_path_factory.mktemp("bytes")
+        save_csv(matrix, labels, folder / "fast.csv", label_name='the "label", as\nwritten')
+        oracle_save_csv(matrix, labels, folder / "slow.csv", label_name='the "label", as\nwritten')
+        assert (folder / "fast.csv").read_bytes() == (folder / "slow.csv").read_bytes()
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path / "d.csv", "x,y,l\n1,2,a\n3,b\n5,6,a\n7,8,b\n")
         with pytest.raises(ParseError) as info:
@@ -178,7 +193,48 @@ class TestContainers:
         assert labels.class_counts == (2, 3)
 
 
+@st.composite
+def split_requests(draw):
+    """(labels, test fraction, seed): two classes of 2-40 rows each, in
+    any row order."""
+    counts = draw(st.tuples(st.integers(2, 40), st.integers(2, 40)))
+    codes = np.repeat([0, 1], counts)
+    codes = codes[draw(st.permutations(range(len(codes))))]
+    fraction = draw(st.floats(0.05, 0.95))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return LabelVector(codes, ("a", "b")), fraction, seed
+
+
+def documented_test_counts(labels, fraction):
+    """Per-class test counts by the rule in ``stratified_split``'s
+    docstring: floors of n_c * fraction, then the seats left of
+    round(n * fraction) to the larger remainders, ties to class 0."""
+    n_c = labels.class_counts
+    ideals = [count * fraction for count in n_c]
+    take = [math.floor(ideal) for ideal in ideals]
+    seats = math.floor(len(labels) * fraction + 0.5) - sum(take)
+    for c in sorted((0, 1), key=lambda c: (take[c] - ideals[c], c))[: max(seats, 0)]:
+        take[c] += 1
+    return take
+
+
 class TestStratifiedSplit:
+    @given(split_requests())
+    def test_plan_invariants(self, split):
+        labels, fraction, seed = split
+        take = documented_test_counts(labels, fraction)
+        if any(t < 1 or t >= count for t, count in zip(take, labels.class_counts)):
+            with pytest.raises(DegenerateSplitError):
+                stratified_split(labels, fraction, seed)
+            return
+        plan = stratified_split(labels, fraction, seed)
+        train, test = set(plan.train_indices), set(plan.test_indices)
+        assert train.isdisjoint(test)
+        assert train | test == set(range(len(labels)))
+        test_counts = np.bincount(labels.labels[list(plan.test_indices)], minlength=2)
+        assert test_counts.tolist() == take
+        assert stratified_split(labels, fraction, seed) == plan
+
     def test_imbalanced_sizes(self):
         labels = LabelVector(np.concatenate([np.zeros(22, int), np.ones(40, int)]), ("a", "b"))
         plan = stratified_split(labels, 0.2, seed=5)

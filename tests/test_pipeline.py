@@ -48,6 +48,9 @@ class TestConfigGate:
             ({"n_pop": 1}, "n_pop must be at least 2"),
             ({"n_splits": 0}, "n_splits must be at least 1"),
             ({"n_restarts": 0}, "n_restarts must be at least 1"),
+            ({"stagnation_limit": 0}, "stagnation_limit must be at least 1"),
+            ({"stagnation_limit": -1}, "stagnation_limit must be at least 1"),
+            ({"max_iterations": 0}, "max_iterations must be at least 1"),
         ],
     )
     def test_rejects(self, kwargs, message):
