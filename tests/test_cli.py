@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -116,6 +117,40 @@ class TestSubcommands:
         )
         assert code == EXIT_OK
         assert len(report["runs"]) == 2
+
+
+class TestGoldenBytes:
+    """Every subcommand's stdout, byte for byte, pinned by SHA-256."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("rank", "--keep-fraction", "0.5", "--seed", "1"),
+             "e88e1f8494f852e308130eb27d8790fc857e733f14364ce49a4f30d2ad73ad85"),
+            (("cluster", "--keep-fraction", "0.5", "--q", "8", "--seed", "1"),
+             "a4502e6ca3b2b23c2286991990152a8303f6247ef66c11fc51d2b62f2c9ae667"),
+            (("optimize", *FAST),
+             "964d0a97ed63a22ce57520e4e7c366cf6c0a0643fdf7cf38989f1e9fc1f4bb88"),
+            (("evaluate", "--n-splits", "3", "--seed", "1"),
+             "9bd31df202f0c96173c32ab50ba7a9704032d98ee315079844bc073ec3912242"),
+            (("evaluate", "--features", "0,3,5", "--n-splits", "3", "--seed", "1"),
+             "a20228bc056d076e918b2360c6b97c62264c03b5aeebbcd64f3ce84d3b80b8e2"),
+            (("pipeline", *FAST),
+             "ee259c4911524a551d35d2fe638803c264a04d0c4cac3e74841769a514f00f9f"),
+            (("experiment", *FAST, "--n-runs", "2"),
+             "d2a6ac031b50cc477e3820969adb22a30516ce60cce54949c80898a2bc4d7dc0"),
+            (("baseline", "--keep-fraction", "0.5", "--q", "8", "--n-var", "3",
+              "--n-splits", "3", "--seed", "1", "--n-runs", "2"),
+             "44007e7ee275978a267ae0eebfb474982619521a46e2f20f44db1f2f0b66dc0c"),
+        ],
+        ids=["rank", "cluster", "optimize", "evaluate-all", "evaluate-subset",
+             "pipeline", "experiment", "baseline"],
+    )
+    def test_stdout_digest(self, capsys, data_csv, argv, digest):
+        command, *flags = argv
+        assert main([command, data_csv, *flags]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConfigFile:
