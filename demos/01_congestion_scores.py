@@ -7,8 +7,9 @@ the interleaving to a narrow band, or avoid it entirely.
 
 import numpy as np
 
-from dmc_gawar import dmc_score, find_region, mc_score, rank_features
+from dmc_gawar import dmc_score, find_region, mc_score
 from dmc_gawar.data import FeatureMatrix, LabelVector
+from dmc_gawar.rankers import keep_count, rank_all
 
 # A 16-sample feature with a mixed band in the middle.  Sorted ascending,
 # the first five values belong to class 0, the last five to class 1, and
@@ -40,5 +41,5 @@ grid[:10, 6] = rng.uniform(0, 1, 10)
 grid[10:, 6] = rng.uniform(3, 4, 10)
 matrix = FeatureMatrix(grid, tuple(f"f{j}" for j in range(10)))
 vector = LabelVector(np.array([0] * 10 + [1] * 10), ("neg", "pos"))
-kept = rank_features(matrix, vector, keep_fraction=0.3)
+kept = rank_all(matrix, vector)[: keep_count(matrix.m, 0.3)]
 print("\nretained features (planted column is 6):", kept.tolist())

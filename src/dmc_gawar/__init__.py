@@ -11,7 +11,6 @@ from .classifier import (
     ClassificationMetrics,
     TreeNode,
     confusion_counts,
-    evaluate_split,
     evaluate_subset,
     fit_tree,
     mean_metrics,
@@ -25,7 +24,6 @@ from .data import (
     NonFiniteValueError,
     NotBinaryLabelsError,
     ParseError,
-    SplitPlan,
     load_csv,
     save_csv,
     stratified_split,
@@ -60,11 +58,9 @@ from .pipeline import (
     write_json,
 )
 from .rankers import (
-    CongestionRegion,
     dmc_score,
     find_region,
     mc_score,
-    rank_features,
     score_features,
 )
 
@@ -74,7 +70,6 @@ __all__ = [
     "ClassificationMetrics",
     "TreeNode",
     "confusion_counts",
-    "evaluate_split",
     "evaluate_subset",
     "fit_tree",
     "mean_metrics",
@@ -86,7 +81,6 @@ __all__ = [
     "NonFiniteValueError",
     "NotBinaryLabelsError",
     "ParseError",
-    "SplitPlan",
     "load_csv",
     "save_csv",
     "stratified_split",
@@ -113,11 +107,9 @@ __all__ = [
     "run_experiment",
     "run_pipeline",
     "write_json",
-    "CongestionRegion",
     "dmc_score",
     "find_region",
     "mc_score",
-    "rank_features",
     "score_features",
     "__version__",
 ]

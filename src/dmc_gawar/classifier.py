@@ -469,18 +469,6 @@ def _route(forest: _Forest, values: np.ndarray, test: np.ndarray) -> np.ndarray:
     return forest.prediction[node].reshape(test.shape)
 
 
-def evaluate_split(
-    matrix: FeatureMatrix,
-    labels: LabelVector,
-    features: np.ndarray,
-    test_fraction: float,
-    seed: int,
-) -> ClassificationMetrics:
-    """Train on one stratified split restricted to the given columns."""
-    _, (metrics,) = evaluate_subset(matrix, labels, features, 1, test_fraction, seed)
-    return metrics
-
-
 def evaluate_subset(
     matrix: FeatureMatrix,
     labels: LabelVector,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: ``rank``, ``cluster``, ``optimize``,
-``evaluate``, ``pipeline``, ``experiment``, ``baseline``.  Options may also
-be supplied through a JSON config file; explicit flags win over the file,
-and the file wins over built-in defaults.
+``evaluate``, ``pipeline``, ``experiment``, ``baseline``.  Each one loads
+the data, merges its options and makes one call into ``pipeline``, which
+alone knows the stage seed offsets and how sizes are clamped.  Options may
+also be supplied through a JSON config file; explicit flags win over the
+file, and the file wins over built-in defaults.
 
 Exit codes: 0 success, 1 usage or bad option values, 2 unreadable or
 malformed data, 3 internal failure.
@@ -18,24 +20,22 @@ import sys
 
 import numpy as np
 
-from .classifier import evaluate_subset, mean_metrics
+from .classifier import mean_metrics
 from .data import DataError, load_csv
-from .feature_space import build_feature_space, cluster_features
-from .ga import SubsetOptimizer, write_convergence_csv
+# read by perfbench/tracing.py, which wraps these names in this module
+from .feature_space import build_feature_space, cluster_features  # noqa: F401
+from .ga import write_convergence_csv
 from .pipeline import (
-    SEED_EVAL,
-    SEED_GA,
-    SEED_KMEANS,
-    SEED_SPACE,
     PipelineConfig,
     baseline_report,
-    effective_sizes,
+    build_stages,
+    evaluate,
     experiment_report,
     pipeline_report,
     random_baseline,
-    require_search_features,
     run_experiment,
     run_pipeline,
+    search,
     write_json,
 )
 from .rankers import keep_count, order_by_score, score_features
@@ -101,10 +101,17 @@ def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=("dmc", "mc"), help="scoring method")
 
 
-def _add_search_options(parser: argparse.ArgumentParser) -> None:
+def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=int, help="cluster count / candidate pool size")
     parser.add_argument("--n-restarts", type=int, help="clustering restarts")
+
+
+def _add_n_var(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-var", type=int, help="selected subset size")
+
+
+def _add_search_options(parser: argparse.ArgumentParser) -> None:
+    _add_n_var(parser)
     parser.add_argument("--n-pop", type=int, help="population size")
     parser.add_argument("--stagnation-limit", type=int, help="stagnant iterations before stopping")
     parser.add_argument("--max-iterations", type=int, help="hard iteration cap")
@@ -116,66 +123,53 @@ def _add_eval_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--test-fraction", type=float, help="holdout fraction")
 
 
+def _add_features(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--features", help="comma-separated feature indices (default: all)")
+
+
+def _add_n_runs(noun: str):
+    def add(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--n-runs", type=int, default=3, help=f"number of {noun} (default 3)")
+
+    return add
+
+
+_SCREEN = (_add_ranking_options, _add_cluster_options)
+_FULL = (*_SCREEN, _add_search_options, _add_eval_options)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dmc-gawar", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = subparsers.add_parser("rank", help="score features and list the retained ones")
-    _add_common(sub)
-    _add_ranking_options(sub)
-    sub.set_defaults(handler=_cmd_rank)
-
-    sub = subparsers.add_parser("cluster", help="group retained features and sample a pool")
-    _add_common(sub)
-    _add_ranking_options(sub)
-    sub.add_argument("--q", type=int, help="cluster count / candidate pool size")
-    sub.add_argument("--n-restarts", type=int, help="clustering restarts")
-    sub.set_defaults(handler=_cmd_cluster)
-
-    sub = subparsers.add_parser("optimize", help="search the pool for the best subset")
-    _add_common(sub)
-    _add_ranking_options(sub)
-    _add_search_options(sub)
-    _add_eval_options(sub)
-    sub.set_defaults(handler=_cmd_optimize)
-
-    sub = subparsers.add_parser("evaluate", help="score a feature subset on repeated splits")
-    _add_common(sub)
-    _add_eval_options(sub)
-    sub.add_argument("--features", help="comma-separated feature indices (default: all)")
-    sub.set_defaults(handler=_cmd_evaluate)
-
-    sub = subparsers.add_parser("pipeline", help="full run with before/after comparison")
-    _add_common(sub)
-    _add_ranking_options(sub)
-    _add_search_options(sub)
-    _add_eval_options(sub)
-    sub.set_defaults(handler=_cmd_pipeline)
-
-    sub = subparsers.add_parser("experiment", help="repeat the pipeline over shifted seeds")
-    _add_common(sub)
-    _add_ranking_options(sub)
-    _add_search_options(sub)
-    _add_eval_options(sub)
-    sub.add_argument("--n-runs", type=int, default=3, help="number of repeats (default 3)")
-    sub.set_defaults(handler=_cmd_experiment)
-
-    sub = subparsers.add_parser("baseline", help="random subsets from the same pool")
-    _add_common(sub)
-    _add_ranking_options(sub)
-    sub.add_argument("--q", type=int, help="cluster count / candidate pool size")
-    sub.add_argument("--n-restarts", type=int, help="clustering restarts")
-    sub.add_argument("--n-var", type=int, help="selected subset size")
-    _add_eval_options(sub)
-    sub.add_argument("--n-runs", type=int, default=3, help="number of draws (default 3)")
-    sub.set_defaults(handler=_cmd_baseline)
-
+    commands = (
+        ("rank", "score features and list the retained ones", _cmd_rank, (_add_ranking_options,)),
+        ("cluster", "group retained features and sample a pool", _cmd_cluster, _SCREEN),
+        ("optimize", "search the pool for the best subset", _cmd_optimize, _FULL),
+        ("evaluate", "score a feature subset on repeated splits", _cmd_evaluate,
+         (_add_eval_options, _add_features)),
+        ("pipeline", "full run with before/after comparison", _cmd_pipeline, _FULL),
+        ("experiment", "repeat the pipeline over shifted seeds", _cmd_experiment,
+         (*_FULL, _add_n_runs("repeats"))),
+        ("baseline", "random subsets from the same pool", _cmd_baseline,
+         (*_SCREEN, _add_n_var, _add_eval_options, _add_n_runs("draws"))),
+    )
+    for name, help_text, handler, option_groups in commands:
+        sub = subparsers.add_parser(name, help=help_text)
+        _add_common(sub)
+        for add_options in option_groups:
+            add_options(sub)
+        sub.set_defaults(handler=handler)
     return parser
 
 
-def _cmd_rank(args) -> dict:
+def _inputs(args):
+    """The data, then the merged config: a data error is reported first."""
     matrix, labels = load_csv(args.data, args.label_column)
-    config = _merge_config(args)
+    return matrix, labels, _merge_config(args)
+
+
+def _cmd_rank(args) -> dict:
+    matrix, labels, config = _inputs(args)
     scores = score_features(matrix, labels, config.method)
     order = order_by_score(scores)
     retained = order[: keep_count(matrix.m, config.keep_fraction)]
@@ -192,56 +186,25 @@ def _cmd_rank(args) -> dict:
 
 
 def _cmd_cluster(args) -> dict:
-    matrix, labels = load_csv(args.data, args.label_column)
-    config = _merge_config(args)
-    m_keep, q_eff, _ = effective_sizes(matrix.m, config)
-    order = order_by_score(score_features(matrix, labels, config.method))
-    retained = order[:m_keep]
-    model = cluster_features(
-        matrix, retained, q_eff, config.seed + SEED_KMEANS, n_restarts=config.n_restarts
-    )
-    space = build_feature_space(retained, model, config.seed + SEED_SPACE)
+    stages = build_stages(*_inputs(args))
     return {
-        "n_retained": int(m_keep),
-        "q": int(model.n_clusters),
-        "inertia": model.inertia,
-        "n_iterations": model.n_iterations,
-        "assignments": {int(f): int(c) for f, c in zip(retained, model.assignments)},
-        "space": [int(j) for j in space],
+        "n_retained": len(stages.retained),
+        "q": int(stages.model.n_clusters),
+        "inertia": stages.model.inertia,
+        "n_iterations": stages.model.n_iterations,
+        "assignments": {int(f): int(c) for f, c in zip(stages.retained, stages.model.assignments)},
+        "space": [int(j) for j in stages.space],
     }
 
 
 def _cmd_optimize(args) -> dict:
-    matrix, labels = load_csv(args.data, args.label_column)
-    config = _merge_config(args)
-    require_search_features(matrix.m)
-    m_keep, q_eff, n_var_eff = effective_sizes(matrix.m, config)
-    order = order_by_score(score_features(matrix, labels, config.method))
-    retained = order[:m_keep]
-    model = cluster_features(
-        matrix, retained, q_eff, config.seed + SEED_KMEANS, n_restarts=config.n_restarts
-    )
-    space = build_feature_space(retained, model, config.seed + SEED_SPACE)
-    eval_seed = config.seed + SEED_EVAL
-
-    def fitness(genes):
-        mean_overall, _ = evaluate_subset(
-            matrix, labels, np.array(genes, dtype=int),
-            n_splits=config.n_splits, test_fraction=config.test_fraction, base_seed=eval_seed,
-        )
-        return mean_overall
-
-    result = SubsetOptimizer(
-        space, n_var_eff, fitness,
-        seed=config.seed + SEED_GA,
-        n_pop=config.n_pop,
-        stagnation_limit=config.stagnation_limit,
-        max_iterations=config.max_iterations,
-    ).run()
+    matrix, labels, config = _inputs(args)
+    stages = build_stages(matrix, labels, config)
+    result = search(matrix, labels, config, stages)
     if args.convergence:
         write_convergence_csv(result.history, args.convergence)
     return {
-        "space": [int(j) for j in space],
+        "space": [int(j) for j in stages.space],
         "selected": list(result.best_genes),
         "best_fitness": result.best_fitness,
         "nfe": result.nfe,
@@ -266,18 +229,13 @@ def _parse_features(text: str, m: int) -> np.ndarray:
 
 
 def _cmd_evaluate(args) -> dict:
-    matrix, labels = load_csv(args.data, args.label_column)
-    config = _merge_config(args)
+    matrix, labels, config = _inputs(args)
     features = (
         _parse_features(args.features, matrix.m)
         if args.features is not None
         else np.arange(matrix.m)
     )
-    mean_overall, per_split = evaluate_subset(
-        matrix, labels, features,
-        n_splits=config.n_splits, test_fraction=config.test_fraction,
-        base_seed=config.seed + SEED_EVAL,
-    )
+    mean_overall, per_split = evaluate(matrix, labels, config, features)
     return {
         "features": [int(j) for j in features],
         "n_splits": config.n_splits,
@@ -289,28 +247,21 @@ def _cmd_evaluate(args) -> dict:
 
 
 def _cmd_pipeline(args) -> dict:
-    matrix, labels = load_csv(args.data, args.label_column)
-    config = _merge_config(args)
-    result = run_pipeline(matrix, labels, config)
+    result = run_pipeline(*_inputs(args))
     if args.convergence:
         write_convergence_csv(result.ga.history, args.convergence)
     return pipeline_report(result)
 
 
 def _cmd_experiment(args) -> dict:
-    matrix, labels = load_csv(args.data, args.label_column)
-    config = _merge_config(args)
-    result = run_experiment(matrix, labels, config, n_runs=args.n_runs)
+    result = run_experiment(*_inputs(args), n_runs=args.n_runs)
     if args.convergence:
         write_convergence_csv(result.runs[0].ga.history, args.convergence)
     return experiment_report(result)
 
 
 def _cmd_baseline(args) -> dict:
-    matrix, labels = load_csv(args.data, args.label_column)
-    config = _merge_config(args)
-    result = random_baseline(matrix, labels, config, n_runs=args.n_runs)
-    return baseline_report(result)
+    return baseline_report(random_baseline(*_inputs(args), n_runs=args.n_runs))
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,12 @@
 """End-to-end orchestration: rank, cluster, pool, search, evaluate.
 
-Every stage draws randomness from the run seed plus a fixed stage offset,
-so a run is a pure function of (dataset, config).  The before/after
-comparison reuses the identical evaluation split seeds, which also makes
-the "after" overall accuracy equal the best fitness the search reports.
+This module is the only owner of the stage seed offsets (``SEED_*``) and
+of size clamping (``effective_sizes``); the CLI and library callers go
+through ``build_stages``, ``search`` and ``evaluate``.  Every stage draws
+randomness from the run seed plus its fixed offset, so a run is a pure
+function of (dataset, config).  Every evaluation uses the same split
+seeds, which makes the "after" overall accuracy equal the best fitness
+the search reports.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .classifier import ClassificationMetrics, evaluate_subset, mean_metrics
 from .data import DataError, FeatureMatrix, LabelVector
-from .feature_space import build_feature_space, cluster_features
+from .feature_space import ClusterModel, build_feature_space, cluster_features
 from .ga import GAResult, SubsetOptimizer
 from .rankers import keep_count, rank_all
 
@@ -66,7 +69,7 @@ class PipelineConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         least = {
             "q": 1, "n_var": 1, "n_pop": 2, "n_splits": 1, "n_restarts": 1,
-            "stagnation_limit": 1, "max_iterations": 1,
+            "stagnation_limit": 1, "max_iterations": 1, "seed": 0,
         }
         for name, bound in least.items():
             if getattr(self, name) < bound:
@@ -101,15 +104,19 @@ def effective_sizes(m: int, config: PipelineConfig) -> tuple[int, int, int]:
     return m_keep, q_eff, n_var_eff
 
 
-def require_search_features(m: int) -> None:
-    """The search needs a pool larger than its subset, so at least 2 features."""
-    if m < 2:
-        raise DataError(f"the subset search needs at least 2 features, the data has {m}")
+@dataclass(frozen=True)
+class Stages:
+    """The screening chain's output: ranked survivors, their clusters, the
+    candidate pool drawn from them and the clamped subset size."""
+
+    retained: np.ndarray
+    model: ClusterModel
+    space: np.ndarray
+    n_var: int
 
 
-def _build_space(
-    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
+def build_stages(matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig) -> Stages:
+    """Rank, keep the clamped top share, cluster it and draw the pool."""
     m_keep, q_eff, n_var_eff = effective_sizes(matrix.m, config)
     order = rank_all(matrix, labels, method=config.method)
     retained = order[:m_keep]
@@ -117,7 +124,36 @@ def _build_space(
         matrix, retained, q_eff, config.seed + SEED_KMEANS, n_restarts=config.n_restarts
     )
     space = build_feature_space(retained, model, config.seed + SEED_SPACE)
-    return retained, space, n_var_eff
+    return Stages(retained, model, space, n_var_eff)
+
+
+def evaluate(
+    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, features
+) -> tuple[float, list[ClassificationMetrics]]:
+    """The one evaluation protocol: fitness, before/after and baseline
+    scores all use the same splits, so "after" equals the best fitness."""
+    return evaluate_subset(
+        matrix, labels, features,
+        n_splits=config.n_splits, test_fraction=config.test_fraction,
+        base_seed=config.seed + SEED_EVAL,
+    )
+
+
+def search(
+    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, stages: Stages
+) -> GAResult:
+    """Search the pool for the subset of best mean holdout accuracy."""
+    if matrix.m < 2:  # the pool must be larger than the subset
+        raise DataError(f"the subset search needs at least 2 features, the data has {matrix.m}")
+    return SubsetOptimizer(
+        stages.space,
+        stages.n_var,
+        lambda genes: evaluate(matrix, labels, config, genes)[0],
+        seed=config.seed + SEED_GA,
+        n_pop=config.n_pop,
+        stagnation_limit=config.stagnation_limit,
+        max_iterations=config.max_iterations,
+    ).run()
 
 
 def run_pipeline(
@@ -125,40 +161,14 @@ def run_pipeline(
 ) -> PipelineResult:
     """Rank, cluster, pool, search, then score before and after selection."""
     started = time.perf_counter()
-    require_search_features(matrix.m)
-    retained, space, n_var_eff = _build_space(matrix, labels, config)
-    eval_seed = config.seed + SEED_EVAL
-
-    def fitness(genes: tuple[int, ...]) -> float:
-        mean_overall, _ = evaluate_subset(
-            matrix, labels, np.array(genes, dtype=int),
-            n_splits=config.n_splits, test_fraction=config.test_fraction, base_seed=eval_seed,
-        )
-        return mean_overall
-
-    optimizer = SubsetOptimizer(
-        space,
-        n_var_eff,
-        fitness,
-        seed=config.seed + SEED_GA,
-        n_pop=config.n_pop,
-        stagnation_limit=config.stagnation_limit,
-        max_iterations=config.max_iterations,
-    )
-    ga = optimizer.run()
-
-    _, before_splits = evaluate_subset(
-        matrix, labels, np.arange(matrix.m),
-        n_splits=config.n_splits, test_fraction=config.test_fraction, base_seed=eval_seed,
-    )
-    _, after_splits = evaluate_subset(
-        matrix, labels, np.array(ga.best_genes, dtype=int),
-        n_splits=config.n_splits, test_fraction=config.test_fraction, base_seed=eval_seed,
-    )
+    stages = build_stages(matrix, labels, config)
+    ga = search(matrix, labels, config, stages)
+    _, before_splits = evaluate(matrix, labels, config, np.arange(matrix.m))
+    _, after_splits = evaluate(matrix, labels, config, ga.best_genes)
     return PipelineResult(
         config=config,
-        retained=tuple(int(j) for j in retained),
-        space=tuple(int(j) for j in space),
+        retained=tuple(int(j) for j in stages.retained),
+        space=tuple(int(j) for j in stages.space),
         selected=ga.best_genes,
         before=mean_metrics(before_splits),
         after=mean_metrics(after_splits),
@@ -220,16 +230,12 @@ def random_baseline(
     """Control arm: uniform subsets of the pool instead of the search."""
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    _, space, n_var_eff = _build_space(matrix, labels, config)
-    eval_seed = config.seed + SEED_EVAL
+    stages = build_stages(matrix, labels, config)
     runs = []
     for i in range(n_runs):
         rng = np.random.default_rng(config.seed + SEED_BASELINE + i)
-        genes = np.sort(rng.choice(space, size=n_var_eff, replace=False))
-        _, splits = evaluate_subset(
-            matrix, labels, genes,
-            n_splits=config.n_splits, test_fraction=config.test_fraction, base_seed=eval_seed,
-        )
+        genes = np.sort(rng.choice(stages.space, size=stages.n_var, replace=False))
+        _, splits = evaluate(matrix, labels, config, genes)
         runs.append(BaselineRun(tuple(int(g) for g in genes), mean_metrics(splits)))
     mean = {k: float(np.mean([r.metrics[k] for r in runs])) for k in METRIC_KEYS}
     std = {k: float(np.std([r.metrics[k] for r in runs])) for k in METRIC_KEYS}

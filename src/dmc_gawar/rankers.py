@@ -213,14 +213,3 @@ def keep_count(m: int, keep_fraction: float) -> int:
         raise ValueError("keep_fraction must be in (0, 1]")
     return max(1, int(np.floor(keep_fraction * m + 1e-9)))
 
-
-def rank_features(
-    matrix: FeatureMatrix,
-    labels: LabelVector,
-    keep_fraction: float = 0.05,
-    method: str = "dmc",
-) -> np.ndarray:
-    """Indices of the best-scoring max(1, floor(keep_fraction * m)) features,
-    ascending by score."""
-    order = rank_all(matrix, labels, method=method)
-    return order[: keep_count(matrix.m, keep_fraction)].copy()

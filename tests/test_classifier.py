@@ -8,7 +8,6 @@ from dmc_gawar.classifier import (
     _BLOCK,
     ClassificationMetrics,
     confusion_counts,
-    evaluate_split,
     evaluate_subset,
     fit_tree,
     mean_metrics,
@@ -351,7 +350,7 @@ class TestEvaluate:
         ds = make_planted(12, 14, 20, 3, 1.5, seed=4)
         features = np.arange(20)
         _, per_split = evaluate_subset(ds.matrix, ds.labels, features, n_splits=3, base_seed=10)
-        solo = evaluate_split(ds.matrix, ds.labels, features, 0.2, seed=12)
+        solo = evaluate_subset(ds.matrix, ds.labels, features, n_splits=1, base_seed=12)[1][0]
         assert per_split[2].as_dict() == solo.as_dict()
 
     def test_informative_subset_beats_noise_subset(self):
@@ -375,14 +374,16 @@ class TestEvaluate:
         evaluate_subset(ds.matrix, ds.labels, np.arange(12), n_splits=4, base_seed=3)
         _, again = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=4, base_seed=3)
         _, shifted = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=4, base_seed=4)
-        solo = evaluate_split(ds.matrix, ds.labels, np.arange(5), 0.2, seed=5)
+        solo = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=1, base_seed=5)[1][0]
         assert built == [3, 4, 5, 6, 7]
         assert again[2].as_dict() == shifted[1].as_dict() == solo.as_dict()
 
     def test_split_plan_memo_is_bounded(self):
         matrix, labels = random_dataset(6, 6, 2, seed=1)
         for seed in range(classifier._PLAN_MEMO_SIZE + 20):
-            evaluate_split(matrix, labels, np.arange(2), 0.25, seed)
+            evaluate_subset(
+                matrix, labels, np.arange(2), n_splits=1, test_fraction=0.25, base_seed=seed
+            )
         assert len(classifier._plan_memo) <= classifier._PLAN_MEMO_SIZE
 
     def test_test_value_on_a_threshold_goes_left(self):
@@ -393,7 +394,9 @@ class TestEvaluate:
         x = 2.0 * labels.labels[:, None]
         x[list(plan.test_indices)] = 1.0
         matrix = FeatureMatrix(x, ("f0",))
-        metrics = evaluate_split(matrix, labels, np.array([0]), 0.25, seed=3)
+        metrics = evaluate_subset(
+            matrix, labels, np.array([0]), n_splits=1, test_fraction=0.25, base_seed=3
+        )[1][0]
         assert (metrics.tp, metrics.tn, metrics.fp, metrics.fn) == (0, 3, 0, 2)
 
     @pytest.mark.parametrize("features", [[0, 4], [-1, 2], [1, 9]])

@@ -256,6 +256,7 @@ class TestExitCodes:
             ({"q": "7"}, "q must be an integer, got '7'"),
             ({"n_pop": True}, "n_pop must be an integer, got True"),
             ({"keep_fraction": "0.5"}, "keep_fraction must be a number, got '0.5'"),
+            ({"seed": -1}, "seed must be at least 0"),
         ],
     )
     def test_bad_config_values_are_usage_errors(self, capsys, data_csv, tmp_path, entries, message):
@@ -265,6 +266,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err == f"dmc-gawar: invalid option: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command", ["rank", "cluster", "optimize", "evaluate", "pipeline", "experiment", "baseline"]
+    )
+    def test_negative_seed_flag_is_usage_error(self, capsys, data_csv, command):
+        code = main([command, data_csv, "--seed", "-1000"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "dmc-gawar: invalid option: seed must be at least 0\n"
+
+    def test_unknown_label_column_is_data_error(self, capsys, data_csv):
+        code = main(["rank", data_csv, "--label-column", "nope"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err == "dmc-gawar: data error: label column 'nope' not found in header\n"
+
+    def test_output_into_missing_directory_is_data_error(self, capsys, data_csv, tmp_path):
+        target = tmp_path / "absent" / "report.json"
+        code = main(["rank", data_csv, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert captured.out == ""
+        assert captured.err == (
+            f"dmc-gawar: data error: [Errno 2] No such file or directory: '{target}'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["experiment", "baseline"])
+    def test_zero_runs_is_usage_error(self, capsys, data_csv, command):
+        code = main([command, data_csv, "--n-runs", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "dmc-gawar: invalid option: n_runs must be at least 1\n"
 
     def test_one_feature_search_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "one.csv"

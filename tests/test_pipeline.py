@@ -51,6 +51,7 @@ class TestConfigGate:
             ({"stagnation_limit": 0}, "stagnation_limit must be at least 1"),
             ({"stagnation_limit": -1}, "stagnation_limit must be at least 1"),
             ({"max_iterations": 0}, "max_iterations must be at least 1"),
+            ({"seed": -1}, "seed must be at least 0"),
         ],
     )
     def test_rejects(self, kwargs, message):

@@ -14,7 +14,6 @@ from dmc_gawar.rankers import (
     keep_count,
     mc_score,
     rank_all,
-    rank_features,
     score_features,
 )
 from conftest import make_dataset, random_dataset
@@ -177,7 +176,7 @@ class TestRanking:
         matrix, vec = make_dataset(values, labels)
         order = rank_all(matrix, vec)
         assert order[0] == 3
-        assert rank_features(matrix, vec, keep_fraction=0.2).tolist() == [3]
+        assert rank_all(matrix, vec)[: keep_count(matrix.m, 0.2)].tolist() == [3]
 
     def test_rank_ties_break_to_lower_index(self):
         values = np.zeros((6, 3))
@@ -201,6 +200,6 @@ class TestRanking:
 
     def test_rank_is_deterministic(self):
         matrix, vec = random_dataset(10, 12, 40, seed=3)
-        first = rank_features(matrix, vec, keep_fraction=0.25)
-        second = rank_features(matrix, vec, keep_fraction=0.25)
+        first = rank_all(matrix, vec)[: keep_count(matrix.m, 0.25)]
+        second = rank_all(matrix, vec)[: keep_count(matrix.m, 0.25)]
         assert np.array_equal(first, second)
