@@ -153,6 +153,45 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("optimize", *FAST), ("pipeline", *FAST), ("experiment", *FAST, "--n-runs", "2")],
+        ids=["optimize", "pipeline", "experiment"],
+    )
+    def test_convergence_csv_digest(self, capsys, data_csv, tmp_path, argv):
+        # the three searches run the same seed-1 GA, so they log the same rows
+        command, *flags = argv
+        conv = tmp_path / "conv.csv"
+        assert main([command, data_csv, *flags, "--convergence", str(conv)]) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(conv.read_bytes()).hexdigest() == (
+            "38051d1cd1474b0617bf9b4e44acaef38d96d8480751a643c0c87d8cd6b8858f"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rank", "--keep-fraction", "0.5", "--seed", "1"),
+            ("cluster", "--keep-fraction", "0.5", "--q", "8", "--seed", "1"),
+            ("optimize", *FAST),
+            ("evaluate", "--features", "0,3,5", "--n-splits", "3", "--seed", "1"),
+            ("pipeline", *FAST),
+            ("experiment", *FAST, "--n-runs", "2"),
+            ("baseline", "--keep-fraction", "0.5", "--q", "8", "--n-var", "3",
+             "--n-splits", "3", "--seed", "1", "--n-runs", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_output_file_equals_stdout(self, capsys, data_csv, tmp_path, argv):
+        command, *flags = argv
+        assert main([command, data_csv, *flags]) == EXIT_OK
+        printed = capsys.readouterr().out.encode()
+        out = tmp_path / "report.json"
+        assert main([command, data_csv, *flags, "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_win(self, capsys, data_csv, tmp_path):
         config = tmp_path / "config.json"

@@ -172,6 +172,18 @@ class TestSubsetOptimizer:
             [False] * 4 + [True]
         ) * 6
 
+    def test_ties_keep_the_first_created_individual(self):
+        # equal fitness never reorders the population: the first subset
+        # spawned stays in front and wins
+        keys = []
+
+        def fitness(genes):
+            keys.append(genes)
+            return 0.5
+
+        result = SubsetOptimizer(range(12), 4, fitness, seed=5, n_pop=6, stagnation_limit=7).run()
+        assert result.best_genes == keys[0]
+
     def test_gene_invariants_across_runs(self):
         space = list(range(40))
         for seed in range(20):
