@@ -48,6 +48,10 @@ bit-identical to the formula's, which larger fits still evaluate.
 Subset evaluation reuses its train/test index arrays: split plans depend
 only on (labels, test fraction, seed), and a search scores thousands of
 subsets under the same few plans.
+
+``METRIC_KEYS`` is the one list of the seven confusion scores, in report
+order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
+spread of each score over splits or runs) build every score dict from it.
 """
 from __future__ import annotations
 
@@ -65,6 +69,9 @@ _BLOCK = 256
 # float64s (0.5 MB at 256 rows).  Near 256 rows a table rebuilt for every
 # fit costs about what it saves; above, only a reused table pays off.
 GINI_TABLE_MAX_ROWS = 256
+
+# The confusion scores of a report, in order.
+METRIC_KEYS = ("overall", "recall", "specificity", "balanced", "precision", "f_measure", "mcc")
 
 # (root size, flat table) of the latest table.
 _gini_table: tuple[int, np.ndarray] | None = None
@@ -421,15 +428,7 @@ class ClassificationMetrics:
         return cls(tp, tn, fp, fn, overall, recall, specificity, balanced, precision, f_measure, mcc)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "overall": self.overall,
-            "recall": self.recall,
-            "specificity": self.specificity,
-            "balanced": self.balanced,
-            "precision": self.precision,
-            "f_measure": self.f_measure,
-            "mcc": self.mcc,
-        }
+        return {k: getattr(self, k) for k in METRIC_KEYS}
 
 
 # Split plans kept for reuse; the oldest is dropped first.
@@ -502,7 +501,11 @@ def evaluate_subset(
     return mean_overall, per_split
 
 
+def metric_stat(scores: list[dict[str, float]], stat=np.mean) -> dict[str, float]:
+    """``stat`` (``np.mean`` or ``np.std``) of each score over score dicts."""
+    return {k: float(stat([s[k] for s in scores])) for k in METRIC_KEYS}
+
+
 def mean_metrics(per_split: list[ClassificationMetrics]) -> dict[str, float]:
     """Average each confusion-derived score over a list of splits."""
-    keys = per_split[0].as_dict().keys()
-    return {k: float(np.mean([m.as_dict()[k] for m in per_split])) for k in keys}
+    return metric_stat([m.as_dict() for m in per_split])

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -33,6 +35,7 @@ from .pipeline import (
     experiment_report,
     pipeline_report,
     random_baseline,
+    report_text,
     run_experiment,
     run_pipeline,
     search,
@@ -81,11 +84,19 @@ def _merge_config(args) -> PipelineConfig:
     return PipelineConfig(**merged)
 
 
+def _check_output_dirs(args) -> None:
+    """Fail before any work if an output file's directory is missing, with
+    the error ``open`` would raise once the work is done."""
+    for path in (args.output, getattr(args, "convergence", None)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _emit(report: dict, args) -> None:
     if args.output:
         write_json(report, args.output)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(report_text(report))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -268,6 +279,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         report = args.handler(args)
         _emit(report, args)
     except (DataError, FileNotFoundError, OSError) as exc:

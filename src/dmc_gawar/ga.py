@@ -8,13 +8,17 @@ iterations it shifts weight from crossover to mutation, and once the
 mutation rate passes 1.0 the whole population is mutated each iteration.
 Any improvement snaps the rates back to their initial values.  The search
 stops after a fixed number of consecutive stagnant iterations.
+
+The convergence log's columns are ``IterationRecord``'s fields, in order
+(``CONVERGENCE_COLUMNS``); ``write_convergence_csv`` writes each record's
+values as they stand, floats by ``repr`` and flags as 0/1.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,11 +89,10 @@ class RateController:
 
 @dataclass(frozen=True)
 class Individual:
-    """Candidate subset; ``seq`` is the creation order, used to break ties."""
+    """Candidate subset and its cached fitness."""
 
     genes: tuple[int, ...]
     fitness: float
-    seq: int
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,9 @@ class SubsetOptimizer:
 
     ``fitness_fn`` maps a tuple of feature indices to a score to maximize;
     results are cached by the sorted gene tuple, and the evaluation count
-    (NFE) only grows on cache misses.
+    (NFE) only grows on cache misses.  The population is sorted by fitness
+    alone; the sort is stable and offspring are appended in creation order,
+    so equal fitness keeps the older individual first.
     """
 
     def __init__(
@@ -209,17 +214,6 @@ class SubsetOptimizer:
         self.stagnation_limit = stagnation_limit
         self.max_iterations = max_iterations
         self._cache: dict[tuple[int, ...], float] = {}
-        self._seq = 0
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _evaluate(self, genes: tuple[int, ...]) -> float:
-        key = tuple(sorted(genes))
-        if key not in self._cache:
-            self._cache[key] = float(self.fitness_fn(key))
-        return self._cache[key]
 
     @property
     def nfe(self) -> int:
@@ -227,7 +221,10 @@ class SubsetOptimizer:
 
     def _spawn(self, genes: Sequence[int]) -> Individual:
         genes = tuple(int(g) for g in genes)
-        return Individual(genes, self._evaluate(genes), self._next_seq())
+        key = tuple(sorted(genes))
+        if key not in self._cache:
+            self._cache[key] = float(self.fitness_fn(key))
+        return Individual(genes, self._cache[key])
 
     def run(self) -> GAResult:
         rng = self.rng
@@ -235,7 +232,7 @@ class SubsetOptimizer:
             self._spawn(rng.choice(self.space, size=self.n_var, replace=False))
             for _ in range(self.n_pop)
         ]
-        population.sort(key=lambda ind: (-ind.fitness, ind.seq))
+        population.sort(key=lambda ind: -ind.fitness)
         best = population[0].fitness
 
         controller = RateController()
@@ -258,7 +255,7 @@ class SubsetOptimizer:
                 parent = population[roulette_spin(weights, rng)]
                 offspring.append(self._spawn(point_mutation(parent.genes, self.space, rng)))
 
-            merged = sorted(population + offspring, key=lambda ind: (-ind.fitness, ind.seq))
+            merged = sorted(population + offspring, key=lambda ind: -ind.fitness)
             population = merged[: self.n_pop]
             adapted = False
             if population[0].fitness > best:
@@ -283,17 +280,7 @@ class SubsetOptimizer:
         )
 
 
-CONVERGENCE_COLUMNS = (
-    "iteration",
-    "best_fitness",
-    "p_c",
-    "p_m",
-    "n_c",
-    "n_m",
-    "adapted",
-    "full_mutation",
-    "nfe_cumulative",
-)
+CONVERGENCE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 
 
 def write_convergence_csv(history: Sequence[IterationRecord], path) -> None:
@@ -302,16 +289,4 @@ def write_convergence_csv(history: Sequence[IterationRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CONVERGENCE_COLUMNS)
         for rec in history:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    repr(rec.best_fitness),
-                    repr(rec.p_c),
-                    repr(rec.p_m),
-                    rec.n_c,
-                    rec.n_m,
-                    int(rec.adapted),
-                    int(rec.full_mutation),
-                    rec.nfe_cumulative,
-                ]
-            )
+            writer.writerow([repr(v) if isinstance(v, float) else int(v) for v in astuple(rec)])

@@ -7,18 +7,22 @@ randomness from the run seed plus its fixed offset, so a run is a pure
 function of (dataset, config).  Every evaluation uses the same split
 seeds, which makes the "after" overall accuracy equal the best fitness
 the search reports.
+
+The report dicts are built here, and ``report_text`` is the one place
+that turns a report into bytes (sorted keys, two-space indent, one
+trailing newline), for ``write_json`` and the CLI's stdout alike.  The
+score keys come from ``classifier.METRIC_KEYS``.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .classifier import ClassificationMetrics, evaluate_subset, mean_metrics
+from .classifier import ClassificationMetrics, evaluate_subset, mean_metrics, metric_stat
 from .data import DataError, FeatureMatrix, LabelVector
 from .feature_space import ClusterModel, build_feature_space, cluster_features
 from .ga import GAResult, SubsetOptimizer
@@ -29,8 +33,6 @@ SEED_SPACE = 211
 SEED_GA = 307
 SEED_EVAL = 401
 SEED_BASELINE = 503
-
-METRIC_KEYS = ("overall", "recall", "specificity", "balanced", "precision", "f_measure", "mcc")
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ class PipelineResult:
     before: dict[str, float]
     after: dict[str, float]
     ga: GAResult
-    elapsed_seconds: float
 
     @property
     def improvement(self) -> float:
@@ -160,7 +161,6 @@ def run_pipeline(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig
 ) -> PipelineResult:
     """Rank, cluster, pool, search, then score before and after selection."""
-    started = time.perf_counter()
     stages = build_stages(matrix, labels, config)
     ga = search(matrix, labels, config, stages)
     _, before_splits = evaluate(matrix, labels, config, np.arange(matrix.m))
@@ -173,7 +173,6 @@ def run_pipeline(
         before=mean_metrics(before_splits),
         after=mean_metrics(after_splits),
         ga=ga,
-        elapsed_seconds=time.perf_counter() - started,
     )
 
 
@@ -197,14 +196,11 @@ def run_experiment(
     for i in range(n_runs):
         run_config = PipelineConfig(**{**asdict(config), "seed": config.seed + i})
         runs.append(run_pipeline(matrix, labels, run_config))
-    mean_before = {k: float(np.mean([r.before[k] for r in runs])) for k in METRIC_KEYS}
-    mean_after = {k: float(np.mean([r.after[k] for r in runs])) for k in METRIC_KEYS}
-    std_after = {k: float(np.std([r.after[k] for r in runs])) for k in METRIC_KEYS}
     return ExperimentResult(
         runs=tuple(runs),
-        mean_before=mean_before,
-        mean_after=mean_after,
-        std_after=std_after,
+        mean_before=metric_stat([r.before for r in runs]),
+        mean_after=metric_stat([r.after for r in runs]),
+        std_after=metric_stat([r.after for r in runs], np.std),
         mean_nfe=float(np.mean([r.ga.nfe for r in runs])),
     )
 
@@ -237,9 +233,8 @@ def random_baseline(
         genes = np.sort(rng.choice(stages.space, size=stages.n_var, replace=False))
         _, splits = evaluate(matrix, labels, config, genes)
         runs.append(BaselineRun(tuple(int(g) for g in genes), mean_metrics(splits)))
-    mean = {k: float(np.mean([r.metrics[k] for r in runs])) for k in METRIC_KEYS}
-    std = {k: float(np.std([r.metrics[k] for r in runs])) for k in METRIC_KEYS}
-    return BaselineResult(runs=tuple(runs), mean=mean, std=std)
+    scores = [r.metrics for r in runs]
+    return BaselineResult(tuple(runs), metric_stat(scores), metric_stat(scores, np.std))
 
 
 def pipeline_report(result: PipelineResult) -> dict:
@@ -272,15 +267,14 @@ def experiment_report(result: ExperimentResult) -> dict:
 
 
 def baseline_report(result: BaselineResult) -> dict:
-    return {
-        "n_runs": len(result.runs),
-        "mean": result.mean,
-        "std": result.std,
-        "runs": [{"genes": list(r.genes), "metrics": r.metrics} for r in result.runs],
-    }
+    return {"n_runs": len(result.runs), **asdict(result)}
+
+
+def report_text(report: dict) -> str:
+    """The bytes of every JSON report, on stdout or in a file."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True))
-        fh.write("\n")
+        fh.write(report_text(report))

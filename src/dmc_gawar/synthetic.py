@@ -30,15 +30,6 @@ def _block_labels(n_class0: int, n_class1: int) -> LabelVector:
     return LabelVector(codes, ("neg", "pos"))
 
 
-def make_noise(n_class0: int, n_class1: int, m: int, seed: int) -> SyntheticDataset:
-    """Pure standard-normal noise; no column carries class signal."""
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n_class0 + n_class1, m))
-    return SyntheticDataset(
-        FeatureMatrix(values, _feature_names(m)), _block_labels(n_class0, n_class1), ()
-    )
-
-
 def make_planted(
     n_class0: int,
     n_class1: int,
@@ -60,26 +51,6 @@ def make_planted(
         FeatureMatrix(values, _feature_names(m)),
         _block_labels(n_class0, n_class1),
         tuple(int(j) for j in informative),
-    )
-
-
-def make_separable(
-    n_class0: int, n_class1: int, m: int, column: int, gap: float, seed: int
-) -> SyntheticDataset:
-    """Noise everywhere except one column that separates the classes with a
-    clear margin: class 0 in [0, 1], class 1 in [1 + gap, 2 + gap]."""
-    if not 0 <= column < m:
-        raise ValueError("column out of range")
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n_class0 + n_class1, m))
-    values[:n_class0, column] = rng.uniform(0.0, 1.0, size=n_class0)
-    values[n_class0:, column] = rng.uniform(1.0 + gap, 2.0 + gap, size=n_class1)
-    return SyntheticDataset(
-        FeatureMatrix(values, _feature_names(m)),
-        _block_labels(n_class0, n_class1),
-        (column,),
     )
 
 

@@ -332,6 +332,30 @@ class TestExitCodes:
             f"dmc-gawar: data error: [Errno 2] No such file or directory: '{target}'\n"
         )
 
+    @pytest.mark.parametrize("option, name", [("--output", "r.json"), ("--convergence", "c.csv")])
+    @pytest.mark.parametrize(
+        "command, handler", [("pipeline", "run_pipeline"), ("experiment", "run_experiment")]
+    )
+    def test_missing_output_directory_fails_before_the_work(
+        self, capsys, data_csv, tmp_path, monkeypatch, command, handler, option, name
+    ):
+        calls = []
+
+        def never(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("the run started")
+
+        monkeypatch.setattr(cli, handler, never)
+        target = tmp_path / "absent" / name
+        code = main([command, data_csv, *FAST, option, str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert captured.out == ""
+        assert captured.err == (
+            f"dmc-gawar: data error: [Errno 2] No such file or directory: '{target}'\n"
+        )
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["experiment", "baseline"])
     def test_zero_runs_is_usage_error(self, capsys, data_csv, command):
         code = main([command, data_csv, "--n-runs", "0"])
