@@ -1,7 +1,7 @@
 """Watch the search adapt its crossover and mutation rates.
 
-Run one: fitness never improves, so the controller walks the whole
-schedule and stops after exactly thirty stagnant iterations.  Run two: a
+Run one: fitness never improves, so the stagnation count walks the
+whole schedule and stops after exactly thirty stagnant iterations.  Run two: a
 planted optimum rewards progress, and every improvement snaps the rates
 back to their initial values.
 """

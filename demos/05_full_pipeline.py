@@ -5,8 +5,8 @@ features, 20 of them shifted between classes.  The pipeline is a pure
 function of (data, config); rerunning with the same seed reproduces every
 number, and a random-draw control shows the search is doing real work.
 
-Expect a couple of minutes of runtime; shrink the dataset or the
-stagnation limit to go faster.
+Runs in about 2 seconds; shrink the dataset or the stagnation limit to go
+faster.
 """
 
 from dmc_gawar import PipelineConfig, pipeline_report, random_baseline, run_pipeline, write_json

@@ -55,6 +55,7 @@ spread of each score over splits or runs) build every score dict from it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,9 +73,6 @@ GINI_TABLE_MAX_ROWS = 256
 
 # The confusion scores of a report, in order.
 METRIC_KEYS = ("overall", "recall", "specificity", "balanced", "precision", "f_measure", "mcc")
-
-# (root size, flat table) of the latest table.
-_gini_table: tuple[int, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -101,18 +99,15 @@ def _child_terms(size: np.ndarray, ones: np.ndarray) -> np.ndarray:
     return size * (1.0 - (ones / size) ** 2 - ((size - ones) / size) ** 2)
 
 
+@functools.lru_cache(maxsize=1)  # only the latest table is kept
 def _table_for(n: int) -> np.ndarray:
     """Flat (n + 1) x (n + 1) table of ``_child_terms``; entry
     ``size * (n + 1) + ones``.  Row 0, an empty child, is read only past
     a node's last row, a cut that is masked."""
-    global _gini_table
-    latest = _gini_table
-    if latest is None or latest[0] != n:
-        sizes = np.arange(n + 1.0)
-        terms = np.zeros((n + 1, n + 1))
-        terms[1:] = _child_terms(sizes[1:, None], sizes[None, :])
-        latest = _gini_table = (n, terms.ravel())
-    return latest[1]
+    sizes = np.arange(n + 1.0)
+    terms = np.zeros((n + 1, n + 1))
+    terms[1:] = _child_terms(sizes[1:, None], sizes[None, :])
+    return terms.ravel()
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,9 @@ def _best_cuts(
 def _grow(values: np.ndarray, labels: np.ndarray, columns: np.ndarray, train: np.ndarray) -> _Forest:
     """Grow one tree per row of ``train`` (row ids of ``values`` and
     ``labels``, one split per row, all of one size) on the given columns,
-    all trees one level per step.
+    all trees one level per step.  Either every root is open (both classes
+    among at least 2 rows) or none is: ``fit_tree`` grows one root, and
+    ``stratified_split`` puts both classes in every train set.
 
     The open nodes of a level lie side by side: in every column's row
     order a node is one segment, at the same positions in every column,
@@ -274,8 +271,7 @@ def _grow(values: np.ndarray, labels: np.ndarray, columns: np.ndarray, train: np
     prediction[node] = ones > size - ones
     n_nodes = n_splits
     depth = 0
-    is_open = _is_open(size, ones)
-    if k == 0 or not is_open.any():
+    if k == 0 or not _is_open(size, ones).any():
         return _Forest(feature[:n_nodes], threshold[:n_nodes], left[:n_nodes], prediction[:n_nodes], 0)
 
     values = np.ascontiguousarray(values)  # cells are read by flat index
@@ -286,10 +282,6 @@ def _grow(values: np.ndarray, labels: np.ndarray, columns: np.ndarray, train: np
     buffers = _sort_columns(values, rows, row_codes, columns, n_splits, width)
     # a level's (k x positions) grids of row ids, ranks and codes sit at the buffers' front
     side = np.zeros(len(rows), dtype=np.int8)  # per stacked row: 0 left, 1 right, 2 closed
-    if not is_open.all():
-        side[np.repeat(~is_open, n)] = 2
-        _regroup(buffers, side, k, width, len(rows))
-        node, size, ones = node[is_open], size[is_open], ones[is_open]
 
     while len(node):
         positions = np.arange(size.sum())

@@ -85,11 +85,14 @@ def _merge_config(args) -> PipelineConfig:
 
 
 def _check_output_dirs(args) -> None:
-    """Fail before any work if an output file's directory is missing, with
-    the error ``open`` would raise once the work is done."""
+    """Fail before any work if an output file's directory is missing, or
+    the output path is itself a directory, with the error ``open`` would
+    raise once the work is done."""
     for path in (args.output, getattr(args, "convergence", None)):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _emit(report: dict, args) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,8 +155,9 @@ def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, Labe
     ``label_column`` selects the label column by header name; by default the
     last column is the label.  Every other cell must parse as a finite real.
     The two label strings are encoded 0/1 by first appearance.  A leading
-    byte-order mark is dropped.  An error names the first bad cell of the
-    first bad row.
+    byte-order mark is dropped.  The header must name at least one feature
+    column, each once.  An error names the first bad cell of the first bad
+    row.
     """
     path = Path(path)
     if not path.exists():
@@ -173,8 +175,14 @@ def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, Labe
                 label_idx = header.index(label_column)
             except ValueError:
                 raise DataError(f"label column {label_column!r} not found in header") from None
+        feature_names = header[:label_idx] + header[label_idx + 1 :]
+        if not feature_names:
+            raise DataError("header holds no feature column")
+        if len(set(feature_names)) < len(feature_names):
+            repeated = next(name for name, count in Counter(feature_names).items() if count > 1)
+            raise DataError(f"header repeats the feature column {repeated!r}")
 
-        m = len(header) - 1
+        m = len(feature_names)
         rows: list[np.ndarray] = []
         label_strings: list[str] = []
         for line_no, record in enumerate(reader, start=2):
@@ -202,7 +210,6 @@ def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, Labe
     if (np.bincount(codes) < 2).any():
         raise DataError("each class needs at least 2 samples")
 
-    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     matrix = FeatureMatrix(np.stack(rows), feature_names)
     labels = LabelVector(codes, (class_names[0], class_names[1]))
     return matrix, labels

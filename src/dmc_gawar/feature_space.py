@@ -28,6 +28,10 @@ from .data import FeatureMatrix
 # coordinates the (block, q, d) temporary is 1.3 MB instead of 80 MB
 # for all 1000 points at once.  16 timed faster than 4, 8, 32 or 64.
 ASSIGN_BLOCK = 16
+# Lloyd iterations stop once no centroid moves farther than KMEANS_TOL, or
+# after KMEANS_MAX_ITERS.
+KMEANS_MAX_ITERS = 300
+KMEANS_TOL = 1e-4
 
 
 class EmptyClusterError(Exception):
@@ -126,12 +130,12 @@ def _repair_empty(
 
 
 def _lloyd(
-    points: np.ndarray, q: int, rng: np.random.Generator, max_iters: int, tol: float
+    points: np.ndarray, q: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list[float], int]:
     centroids = _kmeanspp_seed(points, q, rng)
     history: list[float] = []
     assignments = np.zeros(len(points), dtype=int)
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, KMEANS_MAX_ITERS + 1):
         assignments, d2 = _assign(points, centroids)
         counts = np.bincount(assignments, minlength=q)
         if (counts == 0).any():
@@ -144,9 +148,9 @@ def _lloyd(
         history.append(inertia)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift <= tol:
+        if shift <= KMEANS_TOL:
             return assignments, centroids, history, iteration
-    return assignments, centroids, history, max_iters
+    return assignments, centroids, history, KMEANS_MAX_ITERS
 
 
 def cluster_features(
@@ -155,8 +159,6 @@ def cluster_features(
     q: int,
     seed: int,
     n_restarts: int = 4,
-    max_iters: int = 300,
-    tol: float = 1e-4,
 ) -> ClusterModel:
     """KMeans over the retained feature columns (points = features).
 
@@ -178,7 +180,7 @@ def cluster_features(
     best: tuple[np.ndarray, np.ndarray, list[float], int] | None = None
     for stream in streams:
         rng = np.random.default_rng(stream)
-        result = _lloyd(points, q, rng, max_iters, tol)
+        result = _lloyd(points, q, rng)
         if best is None or result[2][-1] < best[2][-1]:
             best = result
     assignments, centroids, history, n_iter = best

@@ -3,11 +3,13 @@
 Individuals are fixed-size sets of distinct feature indices drawn from a
 candidate pool.  Selection is fitness-proportional, crossover is single
 point with duplicate repair, mutation swaps one gene for an unused pool
-member.  A controller watches the best fitness: every five stagnant
-iterations it shifts weight from crossover to mutation, and once the
-mutation rate passes 1.0 the whole population is mutated each iteration.
-Any improvement snaps the rates back to their initial values.  The search
-stops after a fixed number of consecutive stagnant iterations.
+member.  The rates are a function of one count, ``s``, the consecutive
+iterations without improvement (``rate_schedule``): after ``s // 5``
+shifts the crossover rate is ``max(0.3, 0.9 - 0.2 * shifts)`` and the
+mutation rate ``0.4 + 0.2 * shifts``; once the mutation rate passes 1.0
+the whole population is mutated each iteration.  An improvement resets
+``s`` to 0, and with it both rates.  The search stops once ``s`` reaches
+the stagnation limit.
 
 The convergence log's columns are ``IterationRecord``'s fields, in order
 (``CONVERGENCE_COLUMNS``); ``write_convergence_csv`` writes each record's
@@ -30,61 +32,21 @@ RATE_STEP_TENTHS = 2
 ADAPT_PATIENCE = 5
 
 
-@dataclass
-class RateController:
-    """Stagnation-driven crossover/mutation rate schedule.
+def rate_schedule(stagnant: int, n_pop: int) -> tuple[int, int, int, int]:
+    """(crossover tenths, mutation tenths, crossover slots, mutation slots)
+    after ``stagnant`` consecutive iterations without improvement.
 
-    Rates live in integer tenths; the operator counts below must match the
+    Rates live in integer tenths; the slot counts must match the
     hand-computed ceilings exactly, and float steps of 0.2 drift enough to
-    flip a ceiling.  ``tag`` counts iterations since the last improvement
-    plus one; ``adapt_tag`` is the five-iteration patience counter.
+    flip a ceiling.  Past a mutation rate of 1.0 every slot mutates.
     """
-
-    pc_tenths: int = INITIAL_CROSSOVER_TENTHS
-    pm_tenths: int = INITIAL_MUTATION_TENTHS
-    tag: int = 1
-    adapt_tag: int = 1
-
-    @property
-    def full_mutation(self) -> bool:
-        return self.pm_tenths > 10
-
-    @property
-    def p_c(self) -> float:
-        return 0.0 if self.full_mutation else self.pc_tenths / 10.0
-
-    @property
-    def p_m(self) -> float:
-        return self.pm_tenths / 10.0
-
-    @property
-    def stagnant_iterations(self) -> int:
-        return self.tag - 1
-
-    def operator_counts(self, n_pop: int) -> tuple[int, int]:
-        """(crossover slots, mutation slots); the crossover count is even."""
-        if self.full_mutation:
-            return 0, n_pop
-        n_c = 2 * ((self.pc_tenths * n_pop + 19) // 20)  # 2 * ceil(p_c * n_pop / 2)
-        n_m = (self.pm_tenths * n_pop + 9) // 10  # ceil(p_m * n_pop)
-        return n_c, n_m
-
-    def register_improvement(self) -> None:
-        self.pc_tenths = INITIAL_CROSSOVER_TENTHS
-        self.pm_tenths = INITIAL_MUTATION_TENTHS
-        self.tag = 1
-        self.adapt_tag = 1
-
-    def register_stagnation(self) -> bool:
-        """Count one stagnant iteration; True when the rates shifted."""
-        self.tag += 1
-        self.adapt_tag += 1
-        if self.adapt_tag > ADAPT_PATIENCE:
-            self.adapt_tag = 1
-            self.pc_tenths = max(CROSSOVER_FLOOR_TENTHS, self.pc_tenths - RATE_STEP_TENTHS)
-            self.pm_tenths += RATE_STEP_TENTHS
-            return True
-        return False
+    shifts = stagnant // ADAPT_PATIENCE
+    pc = max(CROSSOVER_FLOOR_TENTHS, INITIAL_CROSSOVER_TENTHS - RATE_STEP_TENTHS * shifts)
+    pm = INITIAL_MUTATION_TENTHS + RATE_STEP_TENTHS * shifts
+    if pm > 10:
+        return 0, pm, 0, n_pop
+    # 2 * ceil(p_c * n_pop / 2) crossover slots (an even count), ceil(p_m * n_pop) mutation slots
+    return pc, pm, 2 * ((pc * n_pop + 19) // 20), (pm * n_pop + 9) // 10
 
 
 @dataclass(frozen=True)
@@ -235,14 +197,12 @@ class SubsetOptimizer:
         population.sort(key=lambda ind: -ind.fitness)
         best = population[0].fitness
 
-        controller = RateController()
+        stagnant = 0  # consecutive iterations without improvement
         history: list[IterationRecord] = []
         iteration = 0
         while iteration < self.max_iterations:
             iteration += 1
-            n_c, n_m = controller.operator_counts(self.n_pop)
-            p_c, p_m = controller.p_c, controller.p_m
-            full = controller.full_mutation
+            pc, pm, n_c, n_m = rate_schedule(stagnant, self.n_pop)
 
             weights = np.array([ind.fitness for ind in population], dtype=float)
             offspring: list[Individual] = []
@@ -257,16 +217,16 @@ class SubsetOptimizer:
 
             merged = sorted(population + offspring, key=lambda ind: -ind.fitness)
             population = merged[: self.n_pop]
-            adapted = False
             if population[0].fitness > best:
                 best = population[0].fitness
-                controller.register_improvement()
+                stagnant = 0
             else:
-                adapted = controller.register_stagnation()
+                stagnant += 1
+            adapted = stagnant > 0 and stagnant % ADAPT_PATIENCE == 0
             history.append(
-                IterationRecord(iteration, best, p_c, p_m, n_c, n_m, adapted, full, self.nfe)
+                IterationRecord(iteration, best, pc / 10.0, pm / 10.0, n_c, n_m, adapted, pm > 10, self.nfe)
             )
-            if controller.stagnant_iterations >= self.stagnation_limit:
+            if stagnant >= self.stagnation_limit:
                 break
 
         winner = population[0]

@@ -186,16 +186,17 @@ class TestTree:
         left_ones = rng.integers(np.maximum(0, ones - (n - left_n)), np.minimum(left_n, ones) + 1)
         self.assert_table_is_bit_identical(root, n, ones, left_n, left_ones)
 
-    def test_only_fits_within_the_row_bound_build_a_table(self, monkeypatch):
-        monkeypatch.setattr(classifier, "_gini_table", None)
+    def test_only_fits_within_the_row_bound_build_a_table(self):
+        classifier._table_for.cache_clear()
         rng = np.random.default_rng(3)
         tall = classifier.GINI_TABLE_MAX_ROWS + 1
         fit_tree(rng.standard_normal((tall, 2)), np.arange(tall) % 2)
-        assert classifier._gini_table is None
+        assert classifier._table_for.cache_info().currsize == 0
         fit_tree(rng.standard_normal((30, 2)), np.arange(30) % 2)
-        root, terms = classifier._gini_table
-        assert root == 30
-        assert terms.shape == (31 * 31,)
+        built = classifier._table_for.cache_info()
+        assert built.currsize == 1
+        assert classifier._table_for(30).shape == (31 * 31,)
+        assert classifier._table_for.cache_info().hits == built.hits + 1  # the 30-row table
 
     def test_ranks_wider_than_a_byte_keep_their_gaps(self):
         # Column 1 holds 600 distinct values; only those 265-274 are class

@@ -28,6 +28,8 @@ FAST = (
     "--keep-fraction", "0.5", "--q", "8", "--n-var", "3", "--n-pop", "6",
     "--stagnation-limit", "4", "--n-splits", "3", "--seed", "1",
 )
+MISSING = "[Errno 2] No such file or directory"
+IS_A_DIRECTORY = "[Errno 21] Is a directory"
 
 
 class TestSubcommands:
@@ -219,6 +221,15 @@ class TestConfigFile:
         code, _ = run_cli(capsys, "rank", data_csv, "--config", str(config))
         assert code == EXIT_USAGE
 
+    def test_config_holding_a_list_is_usage_error(self, capsys, data_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([{"seed": 3}]))
+        code = main(["rank", data_csv, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "dmc-gawar: invalid option: config file must hold a JSON object\n"
+
 
 class TestExitCodes:
     def test_missing_data_file(self, capsys, tmp_path):
@@ -240,6 +251,53 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         code, _ = run_cli(capsys, "evaluate", data_csv, "--features", "1,1")
         assert code == EXIT_USAGE
+
+    def test_unparsable_feature_list_is_usage_error(self, capsys, data_csv):
+        code = main(["evaluate", data_csv, "--features", "1,x"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "dmc-gawar: invalid option: cannot parse feature list '1,x'\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "a,a,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n",
+                "header repeats the feature column 'a'",
+                id="repeated-feature-column",
+            ),
+            pytest.param("label\nx\ny\nx\ny\n", "header holds no feature column", id="label-only"),
+            pytest.param(
+                "", "row 1, column 1: cannot parse '<empty file>' as a number", id="empty-file"
+            ),
+            pytest.param(
+                "f0,f1,label\n1,2,x\n3,4,x\n5,6,y\n",
+                "each class needs at least 2 samples",
+                id="class-with-one-sample",
+            ),
+        ],
+    )
+    def test_malformed_file_message(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = main(["rank", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert captured.out == ""
+        assert captured.err == f"dmc-gawar: data error: {message}\n"
+
+    def test_blank_line_inside_the_file_is_skipped(self, capsys, tmp_path):
+        rows = ["f0,f1,label", "1,2,x", "3,4,y", "5,6,x", "7,8,y"]
+        reports = []
+        for lines in (rows, rows[:3] + [""] + rows[3:]):
+            path = tmp_path / "data.csv"
+            path.write_text("\n".join(lines) + "\n")
+            code, report = run_cli(capsys, "rank", str(path))
+            assert code == EXIT_OK
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["n_retained"] >= 1
 
     def test_empty_feature_list_is_usage_error(self, capsys, data_csv):
         code, _ = run_cli(capsys, "evaluate", data_csv, "--features", "")
@@ -332,12 +390,20 @@ class TestExitCodes:
             f"dmc-gawar: data error: [Errno 2] No such file or directory: '{target}'\n"
         )
 
-    @pytest.mark.parametrize("option, name", [("--output", "r.json"), ("--convergence", "c.csv")])
+    @pytest.mark.parametrize(
+        "option, name, error",
+        [
+            pytest.param("--output", "absent/r.json", MISSING, id="--output-r.json"),
+            pytest.param("--convergence", "absent/c.csv", MISSING, id="--convergence-c.csv"),
+            pytest.param("--output", "", IS_A_DIRECTORY, id="--output-directory"),
+            pytest.param("--convergence", "", IS_A_DIRECTORY, id="--convergence-directory"),
+        ],
+    )
     @pytest.mark.parametrize(
         "command, handler", [("pipeline", "run_pipeline"), ("experiment", "run_experiment")]
     )
     def test_missing_output_directory_fails_before_the_work(
-        self, capsys, data_csv, tmp_path, monkeypatch, command, handler, option, name
+        self, capsys, data_csv, tmp_path, monkeypatch, command, handler, option, name, error
     ):
         calls = []
 
@@ -346,14 +412,12 @@ class TestExitCodes:
             raise RuntimeError("the run started")
 
         monkeypatch.setattr(cli, handler, never)
-        target = tmp_path / "absent" / name
+        target = tmp_path / name  # with no name, the existing directory itself
         code = main([command, data_csv, *FAST, option, str(target)])
         captured = capsys.readouterr()
         assert code == EXIT_DATA
         assert captured.out == ""
-        assert captured.err == (
-            f"dmc-gawar: data error: [Errno 2] No such file or directory: '{target}'\n"
-        )
+        assert captured.err == f"dmc-gawar: data error: {error}: '{target}'\n"
         assert calls == []
 
     @pytest.mark.parametrize("command", ["experiment", "baseline"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dmc_gawar import feature_space
 from dmc_gawar.feature_space import (
     ASSIGN_BLOCK,
     ClusterModel,
@@ -91,6 +92,14 @@ class TestClustering:
             cluster_features(matrix, np.array([], dtype=int), q=2, seed=0)
         with pytest.raises(ValueError):
             cluster_features(matrix, np.arange(6), q=0, seed=0)
+
+    def test_iteration_cap_stops_an_unconverged_run(self, monkeypatch):
+        matrix, vec = random_dataset(10, 10, 40, seed=0)
+        assert cluster_features(matrix, np.arange(40), q=5, seed=0).n_iterations > 1
+        monkeypatch.setattr(feature_space, "KMEANS_MAX_ITERS", 1)
+        model = cluster_features(matrix, np.arange(40), q=5, seed=0)
+        assert model.n_iterations == 1
+        assert len(model.inertia_history) == 1
 
     def test_zero_restarts_rejected(self):
         matrix, vec = random_dataset(5, 5, 6, seed=0)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from dmc_gawar.ga import (
+    ADAPT_PATIENCE,
     CONVERGENCE_COLUMNS,
-    RateController,
     SubsetOptimizer,
     point_mutation,
+    rate_schedule,
     repair_duplicates,
     roulette_spin,
     single_point_crossover,
@@ -105,16 +106,18 @@ class TestOperators:
             point_mutation([0, 1, 2], space=[0, 1, 2], rng=StubRng(integers=[0, 0]))
 
 
-class TestRateController:
+def rates_in_force(stagnant, n_pop=20):
+    """(p_c, p_m, n_c, n_m) as an ``IterationRecord`` logs them."""
+    pc, pm, n_c, n_m = rate_schedule(stagnant, n_pop)
+    return pc / 10.0, pm / 10.0, n_c, n_m
+
+
+class TestRateSchedule:
     def test_initial_counts_for_pop_twenty(self):
-        assert RateController().operator_counts(20) == (18, 8)
+        assert rate_schedule(0, 20)[2:] == (18, 8)
 
     def test_full_schedule_counts(self):
-        controller = RateController()
-        seen = [(controller.p_c, controller.p_m, *controller.operator_counts(20))]
-        for _ in range(20):
-            controller.register_stagnation()
-            seen.append((controller.p_c, controller.p_m, *controller.operator_counts(20)))
+        seen = [rates_in_force(stagnant) for stagnant in range(21)]
         assert seen[0] == (0.9, 0.4, 18, 8)
         assert seen[5] == (0.7, 0.6, 14, 12)
         assert seen[10] == (0.5, 0.8, 10, 16)
@@ -122,30 +125,18 @@ class TestRateController:
         assert seen[20] == (0.0, 1.2, 0, 20)
 
     def test_adaptation_fires_every_fifth_stagnant_iteration(self):
-        controller = RateController()
-        fired = [controller.register_stagnation() for _ in range(12)]
-        assert fired == [False] * 4 + [True] + [False] * 4 + [True, False, False]
-
-    def test_improvement_restores_initial_rates(self):
-        controller = RateController()
-        for _ in range(7):
-            controller.register_stagnation()
-        assert controller.p_c == 0.7
-        controller.register_improvement()
-        assert (controller.p_c, controller.p_m) == (0.9, 0.4)
-        assert controller.tag == 1
-        assert controller.stagnant_iterations == 0
+        shifted = [rate_schedule(s, 20) != rate_schedule(s - 1, 20) for s in range(1, 13)]
+        assert shifted == [False] * 4 + [True] + [False] * 4 + [True, False, False]
 
     def test_crossover_rate_never_drops_below_floor(self):
-        controller = RateController()
-        for _ in range(40):
-            controller.register_stagnation()
-        assert controller.pc_tenths == 3
-        assert controller.full_mutation
+        assert [rate_schedule(s, 20)[0] for s in range(15, 20)] == [3] * 5
+        for stagnant in range(20, 41):
+            pc, pm, n_c, n_m = rate_schedule(stagnant, 20)
+            assert pm > 10  # full mutation: no crossover slots, every slot mutates
+            assert (pc, n_c, n_m) == (0, 0, 20)
 
     def test_odd_population_counts_round_up(self):
-        controller = RateController()
-        n_c, n_m = controller.operator_counts(15)
+        n_c, n_m = rate_schedule(0, 15)[2:]
         assert n_c == 14  # 2 * ceil(0.9 * 15 / 2) = 2 * ceil(6.75)
         assert n_m == 6  # ceil(0.4 * 15)
         assert n_c % 2 == 0
@@ -171,6 +162,26 @@ class TestSubsetOptimizer:
         assert [r.adapted for r in result.history] == (
             [False] * 4 + [True]
         ) * 6
+
+    def test_improvement_restores_initial_rates(self):
+        # fitness rises only after the first 200 evaluations, by which time
+        # at least five stagnant iterations have shifted the rates
+        calls = []
+
+        def fitness(genes):
+            calls.append(genes)
+            return 0.5 if len(calls) <= 200 else 1.0
+
+        result = SubsetOptimizer(range(60), 5, fitness, seed=0, n_pop=20, stagnation_limit=30).run()
+        history = result.history
+        fits = [r.best_fitness for r in history]
+        j = fits.index(1.0)  # the first improvement; the j iterations before it stagnated
+        assert j >= ADAPT_PATIENCE
+        assert (history[j].p_c, history[j].p_m) == rates_in_force(j)[:2]  # shifted rates
+        assert not history[j].adapted
+        assert (history[j + 1].p_c, history[j + 1].p_m) == (0.9, 0.4)
+        assert not history[j + 1].adapted
+        assert result.n_iterations == j + 1 + 30  # stagnation counted afresh from 0
 
     def test_ties_keep_the_first_created_individual(self):
         # equal fitness never reorders the population: the first subset
