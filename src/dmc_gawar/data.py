@@ -5,11 +5,14 @@ Labels are encoded by first appearance in the file: the first label string
 seen becomes class 0, the second becomes class 1.  All containers are
 immutable after construction and safe to share across threads.
 
-``load_csv`` parses one whole row per call with ``float`` into a float64
-array and checks it with ``isfinite``; only a row that fails is scanned
-again cell by cell to report the first bad cell.  Errors therefore come in
-the same left-to-right, top-to-bottom order as a cell-by-cell parse, and
-no list of Python floats for the whole file is built.
+``load_csv`` reads the header with the ``csv`` module and parses the rest
+of the file in one ``np.loadtxt`` pass (numpy's C tokenizer, which splits
+quoted fields as ``csv.reader`` does and rounds each number as ``float``
+does).  Any exception, and any result that is not plainly valid, sends the
+file to the row-by-row reader instead: it parses one whole row per call
+with ``float`` and, for a row that fails, scans it again cell by cell.  So
+the row reader alone produces every error, with the row, column and
+left-to-right, top-to-bottom order of a cell-by-cell parse.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,6 +153,27 @@ def _row_error(line_no: int, record: list[str], label_idx: int) -> DataError:
     raise AssertionError(f"row {line_no} holds no bad cell")
 
 
+def _read_header(reader, label_column: str | None) -> tuple[list[str], int, list[str]]:
+    """(header, label column index, feature names) of the file's first record."""
+    header = next(reader, None)
+    if not header:
+        raise ParseError(1, 1, "<empty file>")
+    if label_column is None:
+        label_idx = len(header) - 1
+    else:
+        try:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise DataError(f"label column {label_column!r} not found in header") from None
+    feature_names = header[:label_idx] + header[label_idx + 1 :]
+    if not feature_names:
+        raise DataError("header holds no feature column")
+    if len(set(feature_names)) < len(feature_names):
+        repeated = next(name for name, count in Counter(feature_names).items() if count > 1)
+        raise DataError(f"header repeats the feature column {repeated!r}")
+    return header, label_idx, feature_names
+
+
 def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, LabelVector]:
     """Load a UTF-8 comma-separated file with one header row.
 
@@ -162,26 +187,72 @@ def load_csv(path, label_column: str | None = None) -> tuple[FeatureMatrix, Labe
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    try:
+        loaded = _load_table(path, label_column)
+    except Exception:  # any fault: the row reader re-reads the file and names it
+        loaded = None
+    return _load_rows(path, label_column) if loaded is None else loaded
 
+
+# ASCII separators that numpy's number parser strips as whitespace around a
+# cell while ``float`` rejects them.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _screened(lines):
+    """``lines`` as they are, but ValueError at a line that holds one of
+    ``_NOT_FLOAT_SPACE``, so that such a file goes to the row reader."""
+    for line in lines:
+        if any(char in line for char in _NOT_FLOAT_SPACE):
+            raise ValueError("line holds an ASCII separator character")
+        yield line
+
+
+def _load_table(path: Path, label_column: str | None) -> tuple[FeatureMatrix, LabelVector] | None:
+    """The dataset from one ``np.loadtxt`` pass, or None if it is not plainly valid.
+
+    ``loadtxt`` reads the lines after the header from the same handle, so
+    the header is the record ``csv.reader`` read, and lines end where
+    ``csv.reader``'s do (``newline=""``: LF, CRLF and lone CR).  Without
+    ``usecols`` it raises on ragged rows; with ``comments=None`` a ``#`` is
+    data.  Not plainly valid, and left to the row reader: no rows, a column
+    count other than the header's (every row with the same extra field), a
+    label column without exactly two values of two or more rows each, or a
+    non-finite cell.  A warning (such as "input contained no data") counts
+    as a fault.
+    """
+    class_codes: dict[str, int] = {}
+
+    def label_code(cell: str) -> float:
+        return float(class_codes.setdefault(cell, len(class_codes)))
+
+    with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        header, label_idx, feature_names = _read_header(csv.reader(fh), label_column)
+        table = np.loadtxt(
+            _screened(fh),
+            dtype=float,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            converters={label_idx: label_code},
+            ndmin=2,
+        )
+    if len(table) == 0 or table.shape[1] != len(header) or len(class_codes) != 2:
+        return None
+    values = np.delete(table, label_idx, axis=1)
+    codes = table[:, label_idx].astype(int)
+    if not np.isfinite(values).all() or (np.bincount(codes) < 2).any():
+        return None
+    return FeatureMatrix(values, feature_names), LabelVector(codes, tuple(class_codes))
+
+
+def _load_rows(path: Path, label_column: str | None) -> tuple[FeatureMatrix, LabelVector]:
+    """``load_csv`` row by row: each row's cells through ``float`` at once,
+    a failing row scanned again cell by cell for its first bad cell."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ParseError(1, 1, "<empty file>")
-        if label_column is None:
-            label_idx = len(header) - 1
-        else:
-            try:
-                label_idx = header.index(label_column)
-            except ValueError:
-                raise DataError(f"label column {label_column!r} not found in header") from None
-        feature_names = header[:label_idx] + header[label_idx + 1 :]
-        if not feature_names:
-            raise DataError("header holds no feature column")
-        if len(set(feature_names)) < len(feature_names):
-            repeated = next(name for name, count in Counter(feature_names).items() if count > 1)
-            raise DataError(f"header repeats the feature column {repeated!r}")
-
+        header, label_idx, feature_names = _read_header(reader, label_column)
         m = len(feature_names)
         rows: list[np.ndarray] = []
         label_strings: list[str] = []

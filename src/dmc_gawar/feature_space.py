@@ -6,13 +6,13 @@ samples).  KMeans groups correlated features together; drawing one member
 per cluster gives a candidate pool whose members carry complementary signal
 rather than near-duplicates.
 
-KMeans is k-means++ seeding plus Lloyd iterations.  Each assignment step
-fills the (points x centroids) squared-distance matrix ``ASSIGN_BLOCK``
-points at a time with the same broadcast expression, so every distance
-is bit-identical to a one-shot (points x centroids x samples) broadcast
-while the temporary stays small.  A |p|^2 - 2 p.c + |c|^2 matrix product
-would be faster but rounds differently, and could move a point between
-equidistant clusters.
+KMeans is k-means++ seeding plus Lloyd iterations.  The assignment step
+estimates every point-to-centroid squared distance with one matrix product,
+|p|^2 + |c|^2 - 2 p.c, and bounds how far that estimate can sit from the
+exact ``((p - c)**2).sum()``.  Only the centroids the bound cannot rule out
+are measured exactly, and the nearest of them wins, the lowest index on a
+tie.  Every other centroid is provably strictly farther, so each
+assignment, ties included, is the one the exact distances alone give.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ import numpy as np
 from .data import FeatureMatrix
 
 
-# Points per pass of the assignment step: at q = 100 centroids of 100
-# coordinates the (block, q, d) temporary is 1.3 MB instead of 80 MB
-# for all 1000 points at once.  16 timed faster than 4, 8, 32 or 64.
-ASSIGN_BLOCK = 16
+# Coordinates measured per pass of the exact recheck in ``_assign``.  Points
+# close to one centroid give about one candidate pair each (1000 pairs on
+# wide-screen, one pass), but identical points, such as constant features,
+# tie with every centroid: 1000 x 100 pairs of 100 coordinates would need
+# 80 MB per temporary instead of 2 MB.
+RECHECK_ELEMENTS = 1 << 18
 # Lloyd iterations stop once no centroid moves farther than KMEANS_TOL, or
 # after KMEANS_MAX_ITERS.
 KMEANS_MAX_ITERS = 300
@@ -62,11 +64,23 @@ class ClusterModel:
 
 
 def minmax_normalize(columns: np.ndarray) -> np.ndarray:
-    """Scale each column to [0, 1]; constant columns become all zeros."""
+    """Scale each column to [0, 1]; constant columns become all zeros.
+
+    A column whose range overflows (finite values such as -1e308 and 1e308)
+    is halved first.  Halving is exact, so its cells come out as they would
+    in arithmetic without overflow, and every other column is untouched.
+    """
     columns = np.asarray(columns, dtype=float)
     lo = columns.min(axis=0)
     hi = columns.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    huge = np.isinf(span)
+    if huge.any():
+        columns = columns.copy()
+        columns[:, huge] *= 0.5
+        lo[huge] *= 0.5
+        span[huge] = hi[huge] * 0.5 - lo[huge]
     out = np.zeros_like(columns)
     nonconstant = span > 0.0
     out[:, nonconstant] = (columns[:, nonconstant] - lo[nonconstant]) / span[nonconstant]
@@ -92,32 +106,79 @@ def _kmeanspp_seed(points: np.ndarray, q: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid of each point, and the (n, q) squared distances."""
-    d2 = np.empty((points.shape[0], centroids.shape[0]))
-    for i in range(0, points.shape[0], ASSIGN_BLOCK):
-        block = points[i : i + ASSIGN_BLOCK]
-        d2[i : i + ASSIGN_BLOCK] = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1), d2
+def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Exact squared distances of paired rows, summed along the contiguous
+    last axis: bit for bit the entries of the (n, q, d) broadcast."""
+    return ((points - centroids) ** 2).sum(axis=-1)
 
 
-def _repair_empty(
-    points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray, d2: np.ndarray
-) -> np.ndarray:
+def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid of each point, the lowest index on a tie.
+
+    Let E = ``_sq_distances(p, c)`` and T the exact real |p - c|^2.  Each of
+    E's d terms carries three rounding factors (the difference's, squared,
+    and the square's) and their sum d - 1 more, so |E - T| <= gamma(d + 2) T
+    with gamma(k) = k u / (1 - k u) and u = eps / 2.  The estimate
+    D = |p|^2 + |c|^2 - 2 p.c takes its dot products in any order (BLAS):
+    each is within gamma(d) of the exact one, scaled by |p|^2, |c|^2 or
+    |p| |c| (Cauchy-Schwarz), and the two sums add one rounding each, so
+    |D - T| <= gamma(d + 2) (|p| + |c|)^2.  With T <= (|p| + |c|)^2,
+    |D - E| <= 2 gamma(d + 2) (|p| + |c|)^2, about (d + 2) eps (|p| + |c|)^2.
+    The slack used is four times that, from the computed norms, plus
+    4 (d + 2) subnormal steps for products that underflow (at most 2.5 d
+    half-steps in all); the margin also covers the rounding of the norms
+    and of the slack itself.
+
+    A centroid stays a candidate unless its lower bound D - slack exceeds
+    the point's smallest upper bound D + slack: then its E is strictly
+    above the E of the centroid with that upper bound.  So the exact
+    minimum, and its first index, lie among the candidates, which are
+    measured exactly.  A NaN or infinite bound rules nothing out.
+    """
+    d = points.shape[1]
+    p_norm2 = np.einsum("ij,ij->i", points, points)
+    c_norm2 = np.einsum("ij,ij->i", centroids, centroids)
+    estimate = points @ centroids.T
+    estimate *= -2.0
+    estimate += p_norm2[:, None]
+    estimate += c_norm2[None, :]
+    slack = np.sqrt(p_norm2)[:, None] + np.sqrt(c_norm2)[None, :]
+    slack **= 2
+    slack *= 4.0 * (d + 2) * np.finfo(float).eps
+    slack += 4.0 * (d + 2) * np.finfo(float).smallest_subnormal
+    upper = (estimate + slack).min(axis=1, keepdims=True)
+    lower = np.subtract(estimate, slack, out=estimate)
+    rows, cols = np.nonzero(~(lower > upper))
+    step = max(1, RECHECK_ELEMENTS // d)
+    exact = np.concatenate([
+        _sq_distances(points[rows[i : i + step]], centroids[cols[i : i + step]])
+        for i in range(0, len(rows), step)
+    ])
+    # Row-major candidates: a stable sort by (row, distance) keeps equal
+    # distances in column order, so each row's first entry is its argmin.
+    order = np.lexsort((exact, rows))
+    rows, cols = rows[order], cols[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return cols[first]
+
+
+def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     """Give each empty cluster the point farthest from its own centroid.
 
     Donor clusters that would themselves become empty (singletons) are
     masked out; with q <= n there is always a cluster holding two or more
     points while another sits empty, so the loop strictly shrinks the set
-    of empty clusters and terminates.
+    of empty clusters and terminates.  A moved point is a singleton from
+    then on, so its stale distance is never read again.
     """
     q = centroids.shape[0]
     assignments = assignments.copy()
+    own_d2 = _sq_distances(points, centroids[assignments])
     counts = np.bincount(assignments, minlength=q)
     empties = list(np.flatnonzero(counts == 0))
     while empties:
         k = empties.pop()
-        own_d2 = d2[np.arange(len(assignments)), assignments]
         donor_ok = counts[assignments] > 1
         if not donor_ok.any():
             raise EmptyClusterError(f"cluster {k} cannot be repaired")
@@ -136,10 +197,10 @@ def _lloyd(
     history: list[float] = []
     assignments = np.zeros(len(points), dtype=int)
     for iteration in range(1, KMEANS_MAX_ITERS + 1):
-        assignments, d2 = _assign(points, centroids)
+        assignments = _assign(points, centroids)
         counts = np.bincount(assignments, minlength=q)
         if (counts == 0).any():
-            assignments = _repair_empty(points, centroids, assignments, d2)
+            assignments = _repair_empty(points, centroids, assignments)
             counts = np.bincount(assignments, minlength=q)
         new_centroids = np.empty_like(centroids)
         for k in range(q):

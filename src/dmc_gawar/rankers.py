@@ -134,6 +134,13 @@ def _score_block(columns: np.ndarray, labels: np.ndarray, method: str) -> np.nda
 
     rows = np.arange(len(start))
     sorted_values = np.take_along_axis(columns, order, axis=1)
+    # A sum of up to n distances, each at most the column's range, can
+    # overflow for finite values near 1e308.  Such a column is scaled by a
+    # power of two 2^-s with 2^s > 4n: exact, so its distances, sums and
+    # ratios are those of arithmetic without overflow.
+    with np.errstate(over="ignore"):
+        huge = np.isinf(2.0 * n * (sorted_values[:, -1] - sorted_values[:, 0]))
+    sorted_values[huge] *= 2.0 ** -(4 * n).bit_length()
     positions = np.arange(n)
     inside = (positions >= start[:, None]) & (positions <= end[:, None])
     score = np.zeros(len(start))

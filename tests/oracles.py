@@ -1,14 +1,24 @@
 """Hand-written reference implementations used only to cross-check the
 package.  Plain loops and literals on purpose; nothing here is imported
-from the library under test except the ``TreeNode`` container, so that
-reference trees compare equal (``==``) to the library's."""
+from the library under test except containers and exception classes
+(``TreeNode``, the data containers and errors), so that reference results
+compare equal (``==``) to the library's and fail the same way."""
 
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 
 from dmc_gawar.classifier import TreeNode
+from dmc_gawar.data import (
+    DataError,
+    FeatureMatrix,
+    LabelVector,
+    NonFiniteValueError,
+    NotBinaryLabelsError,
+    ParseError,
+)
 
 
 def oracle_region(values, labels):
@@ -109,9 +119,30 @@ def oracle_column_dmc(values, labels):
 
 def oracle_assign(points, centroids):
     """Nearest centroid and (n, q) squared distances from one (n, q, d)
-    broadcast, the k-means assignment before it was blocked."""
+    broadcast: the k-means assignment before it was blocked, and later
+    certified by a matrix product."""
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1), d2
+
+
+def oracle_repair_empty(centroids, assignments, d2):
+    """The empty-cluster repair before it measured distances itself: each
+    empty cluster, last first, takes the point farthest from its own
+    centroid in the full (n, q) matrix ``d2``, among clusters of two or
+    more points."""
+    assignments = list(int(a) for a in assignments)
+    counts = [assignments.count(k) for k in range(len(centroids))]
+    empties = [k for k in range(len(centroids)) if counts[k] == 0]
+    while empties:
+        k = empties.pop()
+        best = None
+        for i, own in enumerate(assignments):
+            if counts[own] > 1 and (best is None or d2[i, own] > d2[best, assignments[best]]):
+                best = i
+        counts[assignments[best]] -= 1
+        assignments[best] = k
+        counts[k] += 1
+    return np.array(assignments)
 
 
 def oracle_metrics(tp, tn, fp, fn):
@@ -228,3 +259,73 @@ def oracle_save_csv(matrix, labels, path, label_name="label"):
             row = [repr(float(v)) for v in matrix.values[i]]
             row.append(labels.class_names[labels.labels[i]])
             writer.writerow(row)
+
+
+def _oracle_row_error(line_no, record, label_idx):
+    for col_no, token in enumerate(record):
+        if col_no == label_idx:
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            return ParseError(line_no, col_no + 1, token)
+        if not math.isfinite(value):
+            return NonFiniteValueError(line_no, col_no + 1)
+    raise AssertionError(f"row {line_no} holds no bad cell")
+
+
+def oracle_load_csv(path, label_column=None):
+    """The CSV reader before ``np.loadtxt`` parsed the file: ``csv.reader``
+    records, each row's cells through ``float``, a failing row scanned
+    again cell by cell; ``load_csv`` must return what it returns and raise
+    what it raises."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ParseError(1, 1, "<empty file>")
+        if label_column is None:
+            label_idx = len(header) - 1
+        else:
+            try:
+                label_idx = header.index(label_column)
+            except ValueError:
+                raise DataError(f"label column {label_column!r} not found in header") from None
+        feature_names = header[:label_idx] + header[label_idx + 1 :]
+        if not feature_names:
+            raise DataError("header holds no feature column")
+        if len(set(feature_names)) < len(feature_names):
+            repeated = next(name for name, count in Counter(feature_names).items() if count > 1)
+            raise DataError(f"header repeats the feature column {repeated!r}")
+
+        m = len(feature_names)
+        rows = []
+        label_strings = []
+        for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue  # blank line
+            if len(record) != len(header):
+                raise ParseError(line_no, 1, f"<{len(record)} fields, expected {len(header)}>")
+            label_strings.append(record[label_idx])
+            cells = record[:label_idx] + record[label_idx + 1 :]
+            try:
+                row = np.fromiter(map(float, cells), dtype=float, count=m)
+            except ValueError:
+                raise _oracle_row_error(line_no, record, label_idx) from None
+            if not np.isfinite(row).all():
+                raise _oracle_row_error(line_no, record, label_idx)
+            rows.append(row)
+
+    class_names = []
+    for s in label_strings:
+        if s not in class_names:
+            class_names.append(s)
+    if len(class_names) != 2:
+        raise NotBinaryLabelsError(len(class_names))
+    codes = np.array([class_names.index(s) for s in label_strings], dtype=int)
+    if (np.bincount(codes) < 2).any():
+        raise DataError("each class needs at least 2 samples")
+
+    matrix = FeatureMatrix(np.stack(rows), feature_names)
+    labels = LabelVector(codes, (class_names[0], class_names[1]))
+    return matrix, labels

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dmc_gawar import data
 from dmc_gawar.data import (
     DataError,
     DegenerateSplitError,
@@ -18,7 +19,7 @@ from dmc_gawar.data import (
     save_csv,
     stratified_split,
 )
-from oracles import oracle_save_csv
+from oracles import oracle_load_csv, oracle_save_csv
 
 
 def write(path, text):
@@ -47,7 +48,118 @@ def datasets(draw, name=_NAME):
     return FeatureMatrix(values, names), LabelVector(codes, tuple(class_names))
 
 
+# Cells that parse as finite reals, padded, quoted or signed; cells that
+# do not (or that only ``float`` or only numpy accepts); label strings
+# that need quoting, hold line breaks, or differ only by a space.
+_GOOD_CELLS = ["0", "-0", "7", "-2.5", "1e5", ".5", "5.", "+1", "1E-400", " 1.5 ", "\t2", '"3.25"', "\x0c4"]
+_BAD_CELLS = ["1_0", "\uff11", "nan", "inf", "-Infinity", "1e400", "", "#4", "4#", "abc", "\x1c5", "0x10", ' "1"']
+_LABELS = ["a", "b", "c", " a", "", "#", "x,y", 'p"q', "m\nn", "r\r\ns", "e\rf"]
+_HEADER_NAME = st.text(st.sampled_from(list('ab ,"\n\r#\u00e9')), max_size=4)
+
+
+def _field(text, quote):
+    """``text`` as one CSV field, quoted when it must be or when asked."""
+    if quote or any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_files(draw):
+    """(file text, label_column): a header with the label column anywhere,
+    0-8 rows, LF, CRLF, lone-CR or mixed line ends, blank lines and a BOM;
+    at most one fault: a whitespace-only line, a cell that ``float`` and
+    numpy parse apart or that is not a finite real, one ragged row, or
+    every row with the same extra or missing field."""
+    m = draw(st.integers(1, 4))
+    label_idx = draw(st.integers(0, m))
+    names = draw(st.lists(_HEADER_NAME, min_size=m + 1, max_size=m + 1, unique=True))
+    classes = draw(st.lists(st.sampled_from(_LABELS), min_size=2, max_size=2, unique=True))
+    if draw(st.integers(0, 5)) == 0:
+        classes.append(draw(st.sampled_from(_LABELS)))
+    n = draw(st.integers(0, 8) | st.integers(4, 8))
+    codes = draw(st.lists(st.integers(0, len(classes) - 1), min_size=n, max_size=n))
+    codes[:4] = draw(st.permutations([0, 0, 1, 1]))[:n]
+    good = st.sampled_from(_GOOD_CELLS) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cells = [[draw(good) for _ in range(m)] for _ in range(n)]
+    fault = draw(st.sampled_from([None] * 4 + ["cell"] * 2 + ["space line", "ragged", "extra", "short"]))
+    if fault == "cell" and n:
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(st.sampled_from(_BAD_CELLS))
+    lines = [",".join(_field(name, draw(st.booleans())) for name in names)]
+    for row, code in zip(cells, codes):
+        row.insert(label_idx, _field(classes[code], draw(st.booleans())))
+        lines.append(",".join(row))
+    if fault == "ragged" and n:
+        at = draw(st.integers(1, n))
+        lines[at] = lines[at] + ",1" if draw(st.booleans()) else lines[at].rpartition(",")[0]
+    elif fault == "extra":
+        lines[1:] = [line + ",1" for line in lines[1:]]
+    elif fault == "short":
+        lines[1:] = [line.rpartition(",")[0] for line in lines[1:]]
+    for blank in [""] * draw(st.integers(0, 2)) + [draw(st.sampled_from([" ", "\t "]))] * (fault == "space line"):
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    ends = ["\n", "\r\n", "\r"]
+    style = draw(st.sampled_from(ends + ["mixed"]))
+    text = "".join(line + (draw(st.sampled_from(ends)) if style == "mixed" else style) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    label_column = None if label_idx == m and draw(st.booleans()) else names[label_idx]
+    return text, label_column
+
+
+def _summary(matrix, labels):
+    """(values bytes, feature names, labels, class names) of a dataset."""
+    return matrix.values.tobytes(), matrix.feature_names, labels.labels.tolist(), labels.class_names
+
+
+def _outcome(load, path, label_column):
+    """``_summary`` of what ``load`` returns, or (error class, message)."""
+    try:
+        return _summary(*load(path, label_column))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestLoadCsv:
+    @settings(max_examples=400)
+    @given(csv_files())
+    def test_load_equals_row_reader(self, tmp_path_factory, case):
+        """``load_csv`` returns what the row-by-row reader returns, bit for
+        bit, or raises the same error with the same message; the one-pass
+        parse, when it returns at all, returns the reader's dataset."""
+        text, label_column = case
+        path = tmp_path_factory.mktemp("diff") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome(oracle_load_csv, path, label_column)
+        assert _outcome(load_csv, path, label_column) == want
+        try:
+            table = data._load_table(path, label_column)
+        except Exception:
+            return
+        if table is not None:
+            assert _summary(*table) == want
+
+    def test_one_pass_reads_quotes_line_ends_and_hashes(self, tmp_path, monkeypatch):
+        """A quoted name, a label column in the middle holding a CRLF, lone-CR
+        rows and a cell after a ``#`` take the one-pass parse; a cell that
+        only ``float`` reads (``1_0``, a full-width digit) or only numpy
+        reads (an ASCII separator as padding) goes to the row reader."""
+
+        def row_reader(path, label_column):
+            raise AssertionError("row reader used")
+
+        monkeypatch.setattr(data, "_load_rows", row_reader)
+        text = '"x,1",l,y\r1,"a\r\nb",2\r3,c#,4\r5,"a\r\nb",6\r7,c#,8\r'
+        matrix, labels = load_csv(write(tmp_path / "d.csv", text), label_column="l")
+        assert matrix.feature_names == ("x,1", "y")
+        assert matrix.values.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        assert labels.class_names == ("a\r\nb", "c#")
+        for cell in ("1_0", "\x1c7", "\uff17"):
+            with pytest.raises(AssertionError, match="row reader used"):
+                load_csv(write(tmp_path / "e.csv", text.replace("7,", cell + ",")), label_column="l")
+
     def test_round_trip(self, tmp_path):
         values = np.array([[1.5, -2.25], [0.1, 3.0], [7.0, 0.0], [2.0, 1.0]])
         matrix = FeatureMatrix(values, ("a", "b"))

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,15 +8,41 @@ from hypothesis import strategies as st
 
 from dmc_gawar import feature_space
 from dmc_gawar.feature_space import (
-    ASSIGN_BLOCK,
     ClusterModel,
     _assign,
+    _repair_empty,
+    _sq_distances,
     build_feature_space,
     cluster_features,
     minmax_normalize,
 )
 from conftest import make_dataset, random_dataset
-from oracles import oracle_assign
+from oracles import oracle_assign, oracle_repair_empty
+
+
+@st.composite
+def tie_heavy_assignments(draw):
+    """(points, centroids): coordinates in [0, 1], as quarter steps (equal
+    distances) or arbitrary floats; some centroids repeated or one ulp off
+    another, some points copies of a centroid, some all zero; d up to 2000."""
+    d = draw(st.sampled_from([1, 2, 3, 7, 16, 100, 129, 2000]))
+    n = draw(st.integers(1, 40))
+    q = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.integers(0, 5, size=(n, d)) / 4.0
+        centroids = rng.integers(0, 5, size=(q, d)) / 4.0
+    else:
+        points = rng.random((n, d))
+        centroids = rng.random((q, d))
+    for k in draw(st.sets(st.integers(0, q - 1), max_size=q)):
+        twin = centroids[rng.integers(q)]
+        centroids[k] = np.nextafter(twin, 1.0) if draw(st.booleans()) else twin
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        points[i] = centroids[rng.integers(q)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        points[i] = 0.0
+    return points, centroids
 
 
 class TestNormalize:
@@ -29,6 +58,18 @@ class TestNormalize:
         out = minmax_normalize(columns)
         assert np.array_equal(out[:, 0], np.zeros(5))
         assert out[:, 1].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_overflowing_range_is_halved_exactly(self):
+        """A column of finite values near +-1e308 normalises as the same
+        column scaled down by 2^-10, without overflow; the other column's
+        bits do not change."""
+        rng = np.random.default_rng(1)
+        huge = np.concatenate([[-1.7e308, 1.7e308, 0.0], rng.uniform(-1.0, 1.0, 9) * 1.7e308])
+        plain = rng.normal(size=12)
+        out = minmax_normalize(np.column_stack([huge, plain]))
+        assert np.array_equal(out[:, 0], minmax_normalize((huge * 2.0**-10)[:, None])[:, 0])
+        assert out[:3, 0].tolist() == [0.0, 1.0, 0.5]
+        assert np.array_equal(out[:, 1], minmax_normalize(plain[:, None])[:, 0])
 
     def test_preserves_order(self):
         column = np.array([[3.0], [1.0], [2.0]])
@@ -101,29 +142,80 @@ class TestClustering:
         assert model.n_iterations == 1
         assert len(model.inertia_history) == 1
 
+    def test_huge_finite_values_cluster_like_scaled_ones(self):
+        """Columns near +-1e308 give a finite inertia, and the same model as
+        the columns scaled down by 2^-10."""
+        matrix, vec = random_dataset(10, 10, 30, seed=3)
+        values = matrix.values.copy()
+        values[:, :4] = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 4)) * 1.7e308
+        huge, _ = make_dataset(values, vec.labels)
+        scaled, _ = make_dataset(values * np.where(np.arange(30) < 4, 2.0**-10, 1.0), vec.labels)
+        got = cluster_features(huge, np.arange(30), q=5, seed=0)
+        want = cluster_features(scaled, np.arange(30), q=5, seed=0)
+        assert np.isfinite(got.inertia)
+        assert np.array_equal(got.assignments, want.assignments)
+        assert got.inertia_history == want.inertia_history
+
     def test_zero_restarts_rejected(self):
         matrix, vec = random_dataset(5, 5, 6, seed=0)
         with pytest.raises(ValueError, match="n_restarts"):
             cluster_features(matrix, np.arange(6), q=2, seed=0, n_restarts=0)
 
     @given(
-        st.integers(1, 5 * ASSIGN_BLOCK + 3),
+        st.integers(1, 83),
         st.integers(1, 8),
         st.integers(1, 12),
         st.integers(0, 2**32 - 1),
     )
     def test_blocked_assign_equals_broadcast(self, n, q, d, seed):
-        """Distances and assignments equal the one-broadcast reference,
-        for point counts on and off the block boundary; coordinates are
-        quarter steps on [0, 1], so equal distances and argmin ties occur."""
+        """Assignments equal the one-broadcast reference, and the exact
+        distances the candidate recheck and the repair read, on gathered
+        (point, centroid) rows, equal its entries; coordinates are quarter
+        steps on [0, 1], so equal distances and argmin ties occur."""
         rng = np.random.default_rng(seed)
         points = rng.integers(0, 5, size=(n, d)) / 4.0
         centroids = rng.integers(0, 5, size=(q, d)) / 4.0
-        assignments, d2 = _assign(points, centroids)
         want_assignments, want_d2 = oracle_assign(points, centroids)
-        assert np.array_equal(d2, want_d2)
-        assert np.array_equal(assignments, want_assignments)
+        pairs = _sq_distances(np.repeat(points, q, axis=0), np.tile(centroids, (n, 1)))
+        assert np.array_equal(pairs.reshape(n, q), want_d2)
+        assert np.array_equal(_assign(points, centroids), want_assignments)
 
+    @given(tie_heavy_assignments())
+    def test_certified_assign_equals_broadcast(self, case):
+        """Equal to the reference, also when the exact recheck measures
+        three candidate pairs per pass."""
+        points, centroids = case
+        want = oracle_assign(points, centroids)[0]
+        assert np.array_equal(_assign(points, centroids), want)
+        with mock.patch.object(feature_space, "RECHECK_ELEMENTS", 3 * points.shape[1]):
+            assert np.array_equal(_assign(points, centroids), want)
+
+    def test_identical_points_recheck_in_small_passes(self):
+        """1000 identical points tie with all 100 identical centroids; the
+        100,000 candidate pairs are measured a few MB at a time, not as
+        80 MB (pairs x coordinates) temporaries."""
+        points = np.zeros((1000, 100))
+        centroids = np.zeros((100, 100))
+        tracemalloc.start()
+        try:
+            assignments = _assign(points, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(assignments, np.zeros(1000, dtype=int))
+        assert peak < 20e6
+
+    @given(tie_heavy_assignments())
+    def test_repair_equals_full_matrix_repair(self, case):
+        """The repair, measuring only each point's own centroid, moves the
+        same points as the repair that read the full distance matrix."""
+        points, centroids = case
+        if len(centroids) > len(points):
+            centroids = centroids[: len(points)]
+        assignments, d2 = oracle_assign(points, centroids)
+        repaired = _repair_empty(points, centroids, assignments)
+        assert np.array_equal(repaired, oracle_repair_empty(centroids, assignments, d2))
+        assert set(repaired.tolist()) == set(range(len(centroids)))
 
 class TestFeatureSpace:
     def test_one_member_per_cluster(self):

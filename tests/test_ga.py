@@ -1,9 +1,13 @@
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dmc_gawar import ga
 from dmc_gawar.ga import (
     ADAPT_PATIENCE,
     CONVERGENCE_COLUMNS,
@@ -263,6 +267,83 @@ class TestSubsetOptimizer:
             SubsetOptimizer(range(5), 0, lambda g: 0.0, seed=0)
         with pytest.raises(ValueError):
             SubsetOptimizer(range(5), 2, lambda g: 0.0, seed=0, n_pop=1)
+
+
+@st.composite
+def searches(draw):
+    """(pool, n_var, fitness, seed, n_pop, stagnation limit, iteration cap):
+    any distinct integer pool larger than n_var; fitness takes a few
+    levels, so ties are common, and may be zero everywhere."""
+    n_var = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(-10**6, 10**6), min_size=n_var + 1, max_size=n_var + 12, unique=True))
+    levels = draw(st.integers(1, 5))
+    salt = draw(st.integers(1, 10**6))
+
+    def fitness(key):
+        return (sum(key) * salt % levels) / levels
+
+    return (
+        pool,
+        n_var,
+        fitness,
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(2, 12)),
+        draw(st.integers(1, 12)),
+        draw(st.integers(1, 40)),
+    )
+
+
+class TestSearchInvariants:
+    @given(searches())
+    def test_population_genes_nfe_and_stop_rule(self, search):
+        """Every selection draws from exactly n_pop individuals; every
+        individual holds n_var distinct pool members; NFE is the number of
+        distinct subsets scored, each scored once; the run stops at the
+        first iteration that reaches the stagnation limit, else at the cap;
+        the best fitness is the best ever scored."""
+        pool, n_var, fitness, seed, n_pop, limit, cap = search
+        spawned = []
+        scored = []
+        selection_sizes = []
+
+        class Watched(SubsetOptimizer):
+            def _spawn(self, genes):
+                individual = super()._spawn(genes)
+                spawned.append(individual)
+                return individual
+
+        def spin(weights, rng):
+            selection_sizes.append(len(weights))
+            return roulette_spin(weights, rng)
+
+        def scoring(key):
+            scored.append(key)
+            return fitness(key)
+
+        with mock.patch.object(ga, "roulette_spin", spin):
+            result = Watched(pool, n_var, scoring, seed, n_pop, limit, cap).run()
+
+        assert set(selection_sizes) <= {n_pop}
+        assert len(spawned) == count_spawns(result.history, n_pop)
+        for individual in spawned:
+            assert len(individual.genes) == n_var
+            assert len(set(individual.genes)) == n_var
+            assert set(individual.genes) <= set(pool)
+            assert individual.fitness == fitness(tuple(sorted(individual.genes)))
+        assert len(scored) == len(set(scored)) == result.nfe
+        assert set(scored) == {tuple(sorted(ind.genes)) for ind in spawned}
+        assert result.history[-1].nfe_cumulative == result.nfe
+
+        stagnant = []
+        best = max(ind.fitness for ind in spawned[:n_pop])
+        for record in result.history:
+            improved = record.best_fitness > best
+            best = record.best_fitness
+            stagnant.append(0 if improved else (stagnant[-1] if stagnant else 0) + 1)
+        assert result.n_iterations == len(result.history) <= cap
+        assert all(count < limit for count in stagnant[:-1])
+        assert stagnant[-1] >= limit or result.n_iterations == cap
+        assert result.best_fitness == best == max(ind.fitness for ind in spawned)
 
 
 class TestConvergenceLog:

@@ -154,6 +154,25 @@ class TestScores:
         assert dmc.tolist() == [oracle_column_dmc(values[:, j], labels) for j in range(m)]
         assert mc.tolist() == [oracle_column_mc(values[:, j], labels) for j in range(m)]
 
+    def test_huge_finite_values_score_like_scaled_ones(self):
+        """Columns whose range or distance sums overflow (values near
+        +-1e308, or 40 values up to 1e307) score as the same columns scaled
+        down by 2^-20; the plain column keeps its score."""
+        rng = np.random.default_rng(4)
+        n = 40
+        labels = (np.arange(n) % 3 == 0).astype(int)
+        values = np.column_stack([
+            rng.uniform(-1.0, 1.0, n) * 1.7e308,
+            rng.uniform(0.0, 1e307, n),
+            rng.normal(size=n),
+        ])
+        matrix, vec = make_dataset(values, labels)
+        dmc = score_features(matrix, vec, "dmc")
+        assert np.isfinite(dmc).all()
+        for j in (0, 1):
+            assert dmc[j] == oracle_column_dmc(values[:, j] * 2.0**-20, labels), j
+        assert dmc[2] == oracle_column_dmc(values[:, 2], labels)
+
 
 class TestRanking:
     def test_keep_count_examples(self):
