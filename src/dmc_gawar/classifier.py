@@ -12,8 +12,11 @@ rows.
 
 One grower, ``_grow``, grows the trees of a group of splits together,
 breadth first, as SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996) grows a
-presorted CART tree.  It sorts every (column, split) once and keeps, per
-column, the stacked row ids, value ranks and label codes in that order.
+presorted CART tree.  It starts from every (column, split) sorted once and
+keeps, per column, the stacked row ids, value ranks and label codes in that
+order.  A search sorts its whole candidate pool under its splits once
+(``Presort``), so a fitness call gathers its columns' rows of those tables
+instead of sorting them again; any other call sorts its own columns.
 The open nodes of a level lie side by side, as segments at the same
 positions in every column, each sorted by that column.  A running sum of
 the codes along a block of columns, less each node's starting sum, gives
@@ -25,7 +28,10 @@ wins: the row-major order of a per-node sweep, so each tree is the one a
 node-by-node grower builds.  The winning column's order sends each node's
 rows left or right, and one flat index per block regroups the rows of
 open children, still sorted, for the next level.  Pure nodes, nodes of
-fewer than 2 rows and nodes constant on every column become leaves.
+fewer than 2 rows and nodes constant on every column become leaves.  A
+level only records its nodes, winners and cut rows; the node arrays and
+thresholds of all levels are written in one pass after the last, so the
+level loop does no per-node bookkeeping.
 
 The trees are flat node arrays: feature, threshold, left child and
 prediction.  ``evaluate_subset`` routes the test rows of all its splits
@@ -47,7 +53,7 @@ bit-identical to the formula's, which larger fits still evaluate.
 
 Subset evaluation reuses its train/test index arrays: split plans depend
 only on (labels, test fraction, seed), and a search scores thousands of
-subsets under the same few plans.
+subsets under the same few plans, which its ``Presort`` holds stacked.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -141,10 +147,10 @@ def _regroup(buffers: tuple[np.ndarray, ...], side: np.ndarray, k: int, width: i
     grids = [buffer[: k * length].reshape(k, length) for buffer in buffers]
     for start in range(0, k, width):
         block = slice(start, start + width)
-        block_side = side.take(grids[0][block])
-        count = len(block_side)
-        left = np.flatnonzero(block_side == 0).reshape(count, -1)
-        right = np.flatnonzero(block_side == 1).reshape(count, -1)
+        count = len(grids[0][block])
+        block_side = side.take(grids[0][block].ravel())
+        left = (block_side == 0).nonzero()[0].reshape(count, -1)
+        right = (block_side == 1).nonzero()[0].reshape(count, -1)
         kept = np.concatenate([left, right], axis=1).ravel()
         at = start * (kept.size // count)  # first cell of the block in the new grids
         for buffer, grid in zip(buffers, grids):
@@ -189,10 +195,11 @@ def _best_cuts(
     width: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(weighted Gini, column, cut) of each open node's best cut; the
-    Gini is inf where every column is constant on the node.  Cut ``i``
-    lies after position ``i``; each node's cuts are ranked as a per-node
-    sweep ranks them: earliest column, then first cut, and a later block
-    of ``width`` columns must be strictly lower.
+    Gini is inf where every column is constant on the node, and its column
+    and cut are then any valid pair.  Cut ``i`` lies after position ``i``;
+    each node's cuts are ranked as a per-node sweep ranks them: earliest
+    column, then first cut, and a later block of ``width`` columns must be
+    strictly lower.
 
     ``node_code`` is the sum of each node's codes.  A running sum of codes
     less the codes of the nodes before is the code of a cut's left child,
@@ -200,20 +207,16 @@ def _best_cuts(
     index, or without a table the class-1 count, from which the formula
     computes the term with counts carried as exact float64.
     """
-    count = len(starts)
     of = node_of[:-1]  # node of each cut
     cuts = np.arange(len(of))
     inside = of == node_of[1:]  # the cut after a node's last row leaves it
-    code_end = np.cumsum(node_code).take(of)
+    code_end = node_code.cumsum().take(of)
     code_before = code_end - node_code.take(of)
     node_size = size.take(of)
     if table is None:
         left_n = cuts - starts.take(of) + 1.0
         right_n = np.maximum(node_size - left_n, 1.0)  # 0 only where the cut is masked
 
-    best = np.full(count, np.inf)
-    best_column = np.zeros(count, dtype=np.intp)
-    best_cut = np.zeros(count, dtype=np.intp)
     for start in range(0, len(codes), width):
         block = slice(start, start + width)
         running = codes[block, :-1].cumsum(axis=1)
@@ -228,22 +231,42 @@ def _best_cuts(
         lowest = np.minimum.reduceat(weighted, starts, axis=1)
         column = lowest.argmin(axis=0)
         lowest = lowest.min(axis=0)
-        better = lowest < best
-        if better.any():
-            hit = weighted.take(column.take(of) * len(cuts) + cuts) == lowest.take(of)
-            first_hit = np.minimum.reduceat(np.where(hit, cuts, len(cuts)), starts)
+        if start:
+            better = lowest < best
+            if not better.any():
+                continue
+        # a node whose columns are all constant hits every cut, so its
+        # first hit is a cut inside it
+        hit = weighted.take(column.take(of) * len(cuts) + cuts) == lowest.take(of)
+        first_hit = np.minimum.reduceat(np.where(hit, cuts, len(cuts)), starts)
+        if start == 0:  # the first block's minimum stands until a later block beats it
+            best, best_column, best_cut = lowest, column, first_hit
+        else:
             best = np.where(better, lowest, best)
             best_column = np.where(better, start + column, best_column)
             best_cut = np.where(better, first_hit, best_cut)
     return best, best_column, best_cut
 
 
-def _grow(values: np.ndarray, labels: np.ndarray, columns: np.ndarray, train: np.ndarray) -> _Forest:
+# The two children of a parent, as rows of a (2 x parents) grid.
+_SIDES = np.array([[0], [1]], dtype=np.int8)
+
+
+def _grow(
+    values: np.ndarray,
+    labels: np.ndarray,
+    columns: np.ndarray,
+    train: np.ndarray,
+    presorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> _Forest:
     """Grow one tree per row of ``train`` (row ids of ``values`` and
     ``labels``, one split per row, all of one size) on the given columns,
     all trees one level per step.  Either every root is open (both classes
     among at least 2 rows) or none is: ``fit_tree`` grows one root, and
     ``stratified_split`` puts both classes in every train set.
+    ``presorted``, if given, is ``_sort_columns``' output for these
+    columns and rows with the labels as codes, in fresh arrays: they are
+    overwritten.
 
     The open nodes of a level lie side by side: in every column's row
     order a node is one segment, at the same positions in every column,
@@ -251,6 +274,8 @@ def _grow(values: np.ndarray, labels: np.ndarray, columns: np.ndarray, train: np
     scores the cuts of every node of every tree; the winning column's
     order sends each node's rows to its children, and the rows of open
     children are regrouped, in their sorted order, for the next level.
+    A level only records its nodes, winners and cut rows; the node arrays
+    are written for all levels at once, after the last.
     """
     n_splits, n = train.shape
     k = len(columns)
@@ -265,28 +290,31 @@ def _grow(values: np.ndarray, labels: np.ndarray, columns: np.ndarray, train: np
     threshold = np.full(capacity, np.inf)
     left = np.arange(capacity)
     prediction = np.zeros(capacity, dtype=np.intp)
-    node = np.arange(n_splits)  # tree ids of the open nodes, in layout order
     size = np.full(n_splits, n)
     ones = y.reshape(n_splits, n).sum(axis=1)
-    prediction[node] = ones > size - ones
-    n_nodes = n_splits
-    depth = 0
+    prediction[:n_splits] = ones > size - ones
     if k == 0 or not _is_open(size, ones).any():
-        return _Forest(feature[:n_nodes], threshold[:n_nodes], left[:n_nodes], prediction[:n_nodes], 0)
+        return _Forest(feature[:n_splits], threshold[:n_splits], left[:n_splits], prediction[:n_splits], 0)
 
     values = np.ascontiguousarray(values)  # cells are read by flat index
     # Codes are label + ``stride``: a node's running sum over its first
     # ``i`` rows is ``i * stride + ones``, the flat table index of a left
     # child of ``i`` rows (with ``stride`` 0, the ones).  Sums widen to int64.
-    row_codes = (y + stride).astype(np.int16)
-    buffers = _sort_columns(values, rows, row_codes, columns, n_splits, width)
+    if presorted is None:
+        buffers = _sort_columns(values, rows, (y + stride).astype(np.int16), columns, n_splits, width)
+    else:
+        buffers = presorted
+        np.add(buffers[2], stride, out=buffers[2])
     # a level's (k x positions) grids of row ids, ranks and codes sit at the buffers' front
     side = np.zeros(len(rows), dtype=np.int8)  # per stacked row: 0 left, 1 right, 2 closed
+    node = np.arange(n_splits)  # node ids of the open nodes, in layout order
+    n_nodes = n_splits
+    levels = []  # per level: nodes, winning columns, cut rows, child sizes and ones, splits
 
     while len(node):
         positions = np.arange(size.sum())
         order, ranks, codes = (b[: k * len(positions)].reshape(k, -1) for b in buffers)
-        starts = np.cumsum(size) - size
+        starts = size.cumsum() - size
         node_of = np.repeat(np.arange(len(node)), size)  # node of each position
         best, best_column, best_cut = _best_cuts(
             codes, ranks, size, starts, node_of, size * stride + ones, table, width
@@ -294,43 +322,43 @@ def _grow(values: np.ndarray, labels: np.ndarray, columns: np.ndarray, train: np
         splits = best < np.inf  # the others are constant on every column: leaves
         if not splits.any():
             break
-        depth += 1
         # the stacked rows of each node in its winning column's order
         winner = order.take(best_column.take(node_of) * len(positions) + positions)
         goes_right = positions > best_cut.take(node_of)
         left_n = best_cut - starts + 1
         left_ones = ones - np.add.reduceat(y.take(winner) & goes_right, starts)
+        child_size = np.array([left_n, size - left_n])  # (2 x nodes): left, right
+        child_ones = np.array([left_ones, ones - left_ones])
+        levels.append((node, best_column, winner.take(best_cut + _SIDES), child_size, child_ones, splits))
 
-        column = columns.take(best_column)
-        pair = rows.take(winner.take(best_cut[:, None] + [0, 1])) * values.shape[1] + column[:, None]
-        below, above = values.take(pair).T  # the values on either side of the cut
+        # children are numbered in order of their split parent; rows of open
+        # children keep their side, the rest leave the layout
+        first_child = n_nodes - 2 + 2 * splits.cumsum()
+        n_nodes += 2 * int(np.count_nonzero(splits))
+        child_open = _is_open(child_size, child_ones) & splits
+        side[winner] = np.where(child_open, _SIDES, 2).take(goes_right * len(node) + node_of)
+        _regroup(buffers, side, k, width, len(positions))
+        node = (first_child + _SIDES)[child_open]
+        size, ones = child_size[child_open], child_ones[child_open]
+
+    if levels:
+        node, winning, pair, child_size, child_ones, splits = (
+            np.concatenate(part, axis=-1) for part in zip(*levels)
+        )
+        parents = node[splits]
+        column = columns.take(winning[splits])
+        feature[parents] = column
+        left[parents] = np.arange(n_splits, n_nodes, 2)
+        # the values on either side of each cut
+        below, above = values.take(rows.take(pair[:, splits]) * values.shape[1] + column)
         with np.errstate(over="ignore"):
             midpoint = (below + above) / 2.0
         # where the midpoint rounded onto `above` (or overflowed), `below`
         # still separates the two values under `<=`
-        midpoint = np.where((below <= midpoint) & (midpoint < above), midpoint, below)
-
-        parents = node[splits]
-        first_child = n_nodes + 2 * np.arange(len(parents))
-        feature[parents] = column[splits]
-        threshold[parents] = midpoint[splits]
-        left[parents] = first_child
-        child = np.concatenate([first_child, first_child + 1])
-        child_size = np.concatenate([left_n[splits], (size - left_n)[splits]])
-        child_ones = np.concatenate([left_ones[splits], (ones - left_ones)[splits]])
-        prediction[child] = child_ones > child_size - child_ones
-        n_nodes += len(child)
-
-        # rows of open children keep their side; the rest leave the layout
-        child_open = _is_open(child_size, child_ones)
-        to_side = np.full((len(node), 2), 2, dtype=np.int8)
-        to_side[splits, 0] = np.where(child_open[: len(parents)], 0, 2)
-        to_side[splits, 1] = np.where(child_open[len(parents) :], 1, 2)
-        side[winner] = to_side.take(2 * node_of + goes_right)
-        _regroup(buffers, side, k, width, len(positions))
-        node, size, ones = child[child_open], child_size[child_open], child_ones[child_open]
-
-    return _Forest(feature[:n_nodes], threshold[:n_nodes], left[:n_nodes], prediction[:n_nodes], depth)
+        threshold[parents] = np.where((below <= midpoint) & (midpoint < above), midpoint, below)
+        child_ones, child_size = child_ones[:, splits], child_size[:, splits]
+        prediction[n_splits:n_nodes] = (child_ones > child_size - child_ones).T.ravel()
+    return _Forest(feature[:n_nodes], threshold[:n_nodes], left[:n_nodes], prediction[:n_nodes], len(levels))
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray) -> TreeNode:
@@ -460,6 +488,70 @@ def _route(forest: _Forest, values: np.ndarray, test: np.ndarray) -> np.ndarray:
     return forest.prediction[node].reshape(test.shape)
 
 
+def _stacked_plans(
+    labels: LabelVector, test_fraction: float, base_seed: int, n_splits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(splits x rows) train and test row ids; split k has seed ``base_seed + k``."""
+    plans = [_split_indices(labels, test_fraction, base_seed + k) for k in range(n_splits)]
+    return np.stack([plan[0] for plan in plans]), np.stack([plan[1] for plan in plans])
+
+
+class Presort:
+    """The split plans of a search and the sort of every pool column under
+    every train split, made once so that each fitness call only gathers
+    its subset's rows of the tables.
+
+    The tables are (pool x n_splits * n_train) stacked row ids, ranks and
+    labels, ``_sort_columns``' output for the whole pool.  ``evaluate_subset``
+    reads them only when one group grows all the splits (``len(features)
+    * n_splits <= _BLOCK``), so a gather copies at most ``_BLOCK * n_train``
+    cells of each; larger subsets sort their own columns, as without a
+    presort.  Every call must name the data, split settings and pool
+    members the tables were built from, or it raises ``ValueError``.
+    """
+
+    def __init__(
+        self,
+        matrix: FeatureMatrix,
+        labels: LabelVector,
+        pool,
+        n_splits: int,
+        test_fraction: float,
+        base_seed: int,
+    ):
+        pool = np.asarray(pool, dtype=np.intp)
+        self.values, self.labels = matrix.values, labels.labels
+        self.settings = {"n_splits": n_splits, "test_fraction": test_fraction, "base_seed": base_seed}
+        self.train, self.test = _stacked_plans(labels, test_fraction, base_seed, n_splits)
+        self.test_labels = labels.labels[self.test]
+        rows = self.train.ravel()
+        tables = _sort_columns(
+            np.ascontiguousarray(matrix.values), rows, labels.labels.take(rows).astype(np.int16), pool,
+            n_splits, max(1, _BLOCK // n_splits),
+        )
+        self.tables = [table.reshape(len(pool), -1) for table in tables]
+        self.slot = np.full(matrix.m, -1, dtype=np.intp)  # column -> table row, -1 outside the pool
+        self.slot[pool] = np.arange(len(pool))
+
+    def check(self, matrix: FeatureMatrix, labels: LabelVector, features: np.ndarray, **settings) -> None:
+        """Raise ``ValueError`` unless a call matches what the tables hold."""
+        for name, value in settings.items():
+            if value != self.settings[name]:
+                raise ValueError(f"presort was built for {name}={self.settings[name]!r}, got {value!r}")
+        if labels.labels is not self.labels and not np.array_equal(labels.labels, self.labels):
+            raise ValueError("presort was built for other labels")
+        if matrix.values is not self.values and not np.array_equal(matrix.values, self.values):
+            raise ValueError("presort was built for another feature matrix")
+        outside = features[self.slot.take(features) < 0]
+        if outside.size:
+            raise ValueError(f"feature {outside[0]} is not in the presorted pool")
+
+    def gather(self, features: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``_sort_columns``' flat buffers for ``features``, as fresh arrays."""
+        slots = self.slot.take(features)
+        return tuple(table.take(slots, axis=0).ravel() for table in self.tables)
+
+
 def evaluate_subset(
     matrix: FeatureMatrix,
     labels: LabelVector,
@@ -467,27 +559,38 @@ def evaluate_subset(
     n_splits: int = 10,
     test_fraction: float = 0.2,
     base_seed: int = 0,
+    presort: Presort | None = None,
 ) -> tuple[float, list[ClassificationMetrics]]:
     """Mean test accuracy of a feature subset over seeded repeated splits.
 
     Split k uses seed ``base_seed + k``, so the same arguments always yield
     the same value; this is the fitness the optimizer maximizes.  The
     trees of ``max(1, _BLOCK // len(features))`` splits grow together.
+    A ``presort`` built for these arguments and a pool holding the
+    features is a pure cache: the result is the same without it.
     """
     if n_splits < 1:
         raise ValueError("n_splits must be at least 1")
     features = np.asarray(features, dtype=np.intp)
     if features.size and not 0 <= features.min() <= features.max() < matrix.m:
         raise ValueError(f"features must be column indices in 0..{matrix.m - 1}")
-    plans = [_split_indices(labels, test_fraction, base_seed + k) for k in range(n_splits)]
-    train = np.stack([plan[0] for plan in plans])
-    test = np.stack([plan[1] for plan in plans])
+    presorted = None
+    if presort is None:
+        train, test = _stacked_plans(labels, test_fraction, base_seed, n_splits)
+        test_labels = labels.labels[test]
+    else:
+        presort.check(
+            matrix, labels, features, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed
+        )
+        train, test, test_labels = presort.train, presort.test, presort.test_labels
+        if len(features) * n_splits <= _BLOCK:  # one group grows every split
+            presorted = presort.gather(features)  # at most _BLOCK x n_train cells per table
     group = max(1, _BLOCK // max(len(features), 1))
     predicted = []
     for k in range(0, n_splits, group):
-        forest = _grow(matrix.values, labels.labels, features, train[k : k + group])
+        forest = _grow(matrix.values, labels.labels, features, train[k : k + group], presorted)
         predicted.append(_route(forest, matrix.values, test[k : k + group]))
-    counts = _confusion_rows(labels.labels[test], np.concatenate(predicted))
+    counts = _confusion_rows(test_labels, np.concatenate(predicted))
     per_split = [ClassificationMetrics.from_counts(tp, tn, fp, fn) for tn, fp, fn, tp in counts]
     mean_overall = float(np.mean([m.overall for m in per_split]))
     return mean_overall, per_split

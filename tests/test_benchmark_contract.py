@@ -69,7 +69,10 @@ def test_traced_cluster_and_pipeline_count_each_layer_once(tracing, tmp_path):
 
 def test_pipeline_calls_its_stages_through_its_own_globals(monkeypatch):
     # perfbench/run.py records a run's evaluations by patching
-    # pipeline.evaluate_subset and binds each call's arguments by name
+    # pipeline.evaluate_subset and binds each call's arguments by name; it
+    # refits the recorded calls without the search's presort, so the
+    # presort must be a pure cache: every GA call, replayed without it,
+    # returns the identical fitness
     ds = make_planted(8, 8, 40, 4, 1.5, seed=3)
     config = pipeline.PipelineConfig(q=6, n_var=3, n_pop=6, stagnation_limit=3, n_splits=3, seed=7)
     calls = Counter()
@@ -79,13 +82,23 @@ def test_pipeline_calls_its_stages_through_its_own_globals(monkeypatch):
 
         def recorded(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
+            result = _original(*args, **kwargs)
             if _name == "evaluate_subset":
                 bound = inspect.signature(_original).bind(*args, **kwargs)
-                evaluations.append(len(bound.arguments["features"]))
-            return _original(*args, **kwargs)
+                evaluations.append((bound.arguments, result))
+            return result
 
         monkeypatch.setattr(pipeline, name, recorded)
     result = pipeline.run_pipeline(ds.matrix, ds.labels, config)
     assert calls == {"evaluate_subset": result.ga.nfe + 2, "cluster_features": 1,
                      "build_feature_space": 1}
-    assert evaluations[-2:] == [ds.matrix.m, len(result.selected)]
+    assert [len(arguments["features"]) for arguments, _ in evaluations[-2:]] == [
+        ds.matrix.m, len(result.selected)
+    ]
+    searched = [(arguments, fitness) for arguments, (fitness, _) in evaluations[:-2]]
+    assert len(searched) == result.ga.nfe
+    assert all(arguments.get("presort") is not None for arguments, _ in searched)
+    assert all(arguments.get("presort") is None for arguments, _ in evaluations[-2:])
+    for arguments, fitness in searched:
+        replay = {name: value for name, value in arguments.items() if name != "presort"}
+        assert classifier.evaluate_subset(**replay)[0] == fitness

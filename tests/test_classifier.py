@@ -7,6 +7,7 @@ from dmc_gawar import classifier
 from dmc_gawar.classifier import (
     _BLOCK,
     ClassificationMetrics,
+    Presort,
     confusion_counts,
     evaluate_subset,
     fit_tree,
@@ -320,16 +321,27 @@ class TestEvaluate:
             train, test = list(plan.train_indices), list(plan.test_indices)
             predicted = oracle_predict(oracle_fit_tree(x[train], y[train]), x[test])
             want.append(ClassificationMetrics.from_counts(*confusion_counts(y[test], predicted)))
+        # also through a presort of a shuffled pool holding the features,
+        # which come in their drawn, unsorted order: under _BLOCK 256 one
+        # group reads the tables; under the small blocks only subsets of at
+        # most `block` (column, split) pairs do
+        rng = np.random.default_rng(base_seed)
+        pool = rng.permutation(np.union1d(features, rng.choice(matrix.m, size=matrix.m // 2)))
         # blocks of 1-5 (column, split) pairs: groups hold fewer splits than
         # n_splits, and wide subsets score their columns over several blocks
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", 40)
             patch.setattr(classifier, "_BLOCK", block)
-            mean_overall, per_split = evaluate_subset(
-                matrix, labels, features, n_splits, test_fraction, base_seed
-            )
-        assert per_split == want
-        assert mean_overall == float(np.mean([m.overall for m in want]))
+            scored = [evaluate_subset(matrix, labels, features, n_splits, test_fraction, base_seed)]
+            for size in (block, _BLOCK):
+                patch.setattr(classifier, "_BLOCK", size)
+                presort = Presort(matrix, labels, pool, n_splits, test_fraction, base_seed)
+                scored.append(evaluate_subset(
+                    matrix, labels, features, n_splits, test_fraction, base_seed, presort=presort
+                ))
+        for mean_overall, per_split in scored:
+            assert per_split == want
+            assert mean_overall == float(np.mean([m.overall for m in want]))
 
     def test_deterministic(self):
         ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
@@ -386,6 +398,38 @@ class TestEvaluate:
                 matrix, labels, np.arange(2), n_splits=1, test_fraction=0.25, base_seed=seed
             )
         assert len(classifier._plan_memo) <= classifier._PLAN_MEMO_SIZE
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda ds: {"n_splits": 3}, "n_splits=4, got 3"),
+            (lambda ds: {"test_fraction": 0.5}, "test_fraction=0.25, got 0.5"),
+            (lambda ds: {"base_seed": 6}, "base_seed=5, got 6"),
+            (lambda ds: {"labels": LabelVector(1 - ds.labels.labels, ds.labels.class_names)},
+             "other labels"),
+            (lambda ds: {"matrix": FeatureMatrix(ds.matrix.values + 1.0, ds.matrix.feature_names)},
+             "another feature matrix"),
+            (lambda ds: {"features": np.array([1, 9])}, "feature 9 is not in the presorted pool"),
+        ],
+        ids=["n_splits", "test_fraction", "base_seed", "labels", "matrix", "feature"],
+    )
+    def test_presort_rejects_a_call_it_was_not_built_for(self, change, message):
+        ds = make_planted(10, 10, 12, 3, 1.5, seed=6)
+        presort = Presort(ds.matrix, ds.labels, np.array([7, 1, 4, 0]), n_splits=4, test_fraction=0.25,
+                          base_seed=5)
+        call = dict(matrix=ds.matrix, labels=ds.labels, features=np.array([1, 4]),
+                    n_splits=4, test_fraction=0.25, base_seed=5)
+        evaluate_subset(**call, presort=presort)  # the matching call is accepted
+        with pytest.raises(ValueError, match=message):
+            evaluate_subset(**{**call, **change(ds)}, presort=presort)
+
+    def test_presort_accepts_equal_copies_of_its_data(self):
+        ds = make_planted(10, 10, 12, 3, 1.5, seed=6)
+        presort = Presort(ds.matrix, ds.labels, np.arange(12), n_splits=4, test_fraction=0.25, base_seed=5)
+        matrix = FeatureMatrix(ds.matrix.values.copy(), ds.matrix.feature_names)
+        labels = LabelVector(ds.labels.labels.copy(), ds.labels.class_names)
+        got = evaluate_subset(matrix, labels, np.array([3, 2]), 4, 0.25, 5, presort=presort)
+        assert got == evaluate_subset(ds.matrix, ds.labels, np.array([3, 2]), 4, 0.25, 5)
 
     def test_test_value_on_a_threshold_goes_left(self):
         # train rows sit at 0 (class 0) and 2 (class 1), so the root splits

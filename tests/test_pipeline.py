@@ -5,16 +5,20 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dmc_gawar.data import DataError, FeatureMatrix
+from dmc_gawar import classifier
+from dmc_gawar.data import DataError, FeatureMatrix, stratified_split
 from dmc_gawar.pipeline import (
+    SEED_EVAL,
     PipelineConfig,
     baseline_report,
+    build_stages,
     effective_sizes,
     experiment_report,
     pipeline_report,
     random_baseline,
     run_experiment,
     run_pipeline,
+    search,
     write_json,
 )
 from dmc_gawar.synthetic import make_planted
@@ -158,6 +162,26 @@ class TestRunPipeline:
         matrix = FeatureMatrix(planted.matrix.values[:, :1], ("f0",))
         with pytest.raises(DataError, match="at least 2 features, the data has 1"):
             run_pipeline(matrix, planted.labels, SMALL)
+
+    def test_search_builds_each_split_plan_once_past_the_plan_memo(self, planted, monkeypatch):
+        # more splits than the plan memo holds: the search's presort keeps
+        # every stacked plan, so no fitness call builds one again
+        built = []
+
+        def counting_split(labels, test_fraction, seed):
+            built.append(seed)
+            return stratified_split(labels, test_fraction, seed)
+
+        monkeypatch.setattr(classifier, "stratified_split", counting_split)
+        monkeypatch.setattr(classifier, "_plan_memo", {})
+        config = PipelineConfig(
+            keep_fraction=0.2, q=5, n_var=2, n_pop=4, stagnation_limit=2,
+            n_splits=classifier._PLAN_MEMO_SIZE + 4, seed=1,
+        )
+        stages = build_stages(planted.matrix, planted.labels, config)
+        result = search(planted.matrix, planted.labels, config, stages)
+        assert result.nfe > 1
+        assert built == list(range(config.seed + SEED_EVAL, config.seed + SEED_EVAL + config.n_splits))
 
     def test_seed_changes_result(self, planted):
         other = PipelineConfig(
