@@ -14,9 +14,10 @@ One grower, ``_grow``, grows the trees of a group of splits together,
 breadth first, as SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996) grows a
 presorted CART tree.  It starts from every (column, split) sorted once and
 keeps, per column, the stacked row ids, value ranks and label codes in that
-order.  A search sorts its whole candidate pool under its splits once
-(``Presort``), so a fitness call gathers its columns' rows of those tables
-instead of sorting them again; any other call sorts its own columns.
+order.  One ``Evaluator`` per run sorts a column under the run's train
+splits the first time a narrow subset asks for it and keeps the result,
+so later calls gather their columns' rows of those tables instead of
+sorting them again; a wider subset sorts its own columns.
 The open nodes of a level lie side by side, as segments at the same
 positions in every column, each sorted by that column.  A running sum of
 the codes along a block of columns, less each node's starting sum, gives
@@ -51,9 +52,10 @@ come from the same float64 operations in the same order as the formula,
 so every weighted Gini, and with it every tie and every tree, is
 bit-identical to the formula's, which larger fits still evaluate.
 
-Subset evaluation reuses its train/test index arrays: split plans depend
-only on (labels, test fraction, seed), and a search scores thousands of
-subsets under the same few plans, which its ``Presort`` holds stacked.
+One evaluator per run: a run scores thousands of subsets under the same
+few split plans, which its ``Evaluator`` builds once.  ``evaluate_subset``
+without one builds a one-off evaluator; no plan or sort outlives its
+evaluator, so a result never depends on what was evaluated before.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -451,31 +453,6 @@ class ClassificationMetrics:
         return {k: getattr(self, k) for k in METRIC_KEYS}
 
 
-# Split plans kept for reuse; the oldest is dropped first.
-_PLAN_MEMO_SIZE = 256
-_plan_memo: dict[tuple[bytes, float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _split_indices(
-    labels: LabelVector, test_fraction: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (train, test) index arrays of ``stratified_split``, memoised.
-
-    The plan is a pure function of the key, so reuse cannot change a result.
-    """
-    key = (labels.labels.tobytes(), test_fraction, seed)
-    found = _plan_memo.get(key)
-    if found is None:
-        plan = stratified_split(labels, test_fraction, seed)
-        found = (np.array(plan.train_indices), np.array(plan.test_indices))
-        for indices in found:
-            indices.flags.writeable = False
-        if len(_plan_memo) >= _PLAN_MEMO_SIZE:
-            del _plan_memo[next(iter(_plan_memo))]
-        _plan_memo[key] = found
-    return found
-
-
 def _route(forest: _Forest, values: np.ndarray, test: np.ndarray) -> np.ndarray:
     """Class of each row of ``test`` (row ids of ``values``, one split of
     the forest per row), all trees at once, one level per step.  Values
@@ -488,68 +465,77 @@ def _route(forest: _Forest, values: np.ndarray, test: np.ndarray) -> np.ndarray:
     return forest.prediction[node].reshape(test.shape)
 
 
-def _stacked_plans(
-    labels: LabelVector, test_fraction: float, base_seed: int, n_splits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(splits x rows) train and test row ids; split k has seed ``base_seed + k``."""
-    plans = [_split_indices(labels, test_fraction, base_seed + k) for k in range(n_splits)]
-    return np.stack([plan[0] for plan in plans]), np.stack([plan[1] for plan in plans])
+class Evaluator:
+    """The repeated-holdout protocol of one run: its split plans, built
+    once (split k has seed ``base_seed + k``), and the sort of each column
+    under every train split, made the first time a narrow subset asks for
+    the column and kept.
 
-
-class Presort:
-    """The split plans of a search and the sort of every pool column under
-    every train split, made once so that each fitness call only gathers
-    its subset's rows of the tables.
-
-    The tables are (pool x n_splits * n_train) stacked row ids, ranks and
-    labels, ``_sort_columns``' output for the whole pool.  ``evaluate_subset``
-    reads them only when one group grows all the splits (``len(features)
-    * n_splits <= _BLOCK``), so a gather copies at most ``_BLOCK * n_train``
-    cells of each; larger subsets sort their own columns, as without a
-    presort.  Every call must name the data, split settings and pool
-    members the tables were built from, or it raises ``ValueError``.
+    The sort tables are ``_sort_columns``' output, one row of
+    ``n_splits * n_train`` stacked row ids, ranks and labels per column,
+    in the order the columns were first asked for; their capacity doubles
+    as columns arrive, so only columns in use are held.
+    ``evaluate_subset`` reads them only when one group grows every split
+    (``len(features) * n_splits <= _BLOCK``), so a gather copies at most
+    ``_BLOCK * n_train`` cells of each; wider subsets sort their own
+    columns and keep nothing.  An evaluator serves only the data and split
+    settings it was built from: ``check`` raises ``ValueError`` on others.
     """
 
     def __init__(
-        self,
-        matrix: FeatureMatrix,
-        labels: LabelVector,
-        pool,
-        n_splits: int,
-        test_fraction: float,
-        base_seed: int,
+        self, matrix: FeatureMatrix, labels: LabelVector, n_splits: int, test_fraction: float, base_seed: int
     ):
-        pool = np.asarray(pool, dtype=np.intp)
+        if n_splits < 1:
+            raise ValueError("n_splits must be at least 1")
         self.values, self.labels = matrix.values, labels.labels
         self.settings = {"n_splits": n_splits, "test_fraction": test_fraction, "base_seed": base_seed}
-        self.train, self.test = _stacked_plans(labels, test_fraction, base_seed, n_splits)
+        plans = [stratified_split(labels, test_fraction, base_seed + k) for k in range(n_splits)]
+        self.train = np.array([plan.train_indices for plan in plans])
+        self.test = np.array([plan.test_indices for plan in plans])
         self.test_labels = labels.labels[self.test]
-        rows = self.train.ravel()
-        tables = _sort_columns(
-            np.ascontiguousarray(matrix.values), rows, labels.labels.take(rows).astype(np.int16), pool,
-            n_splits, max(1, _BLOCK // n_splits),
-        )
-        self.tables = [table.reshape(len(pool), -1) for table in tables]
-        self.slot = np.full(matrix.m, -1, dtype=np.intp)  # column -> table row, -1 outside the pool
-        self.slot[pool] = np.arange(len(pool))
+        self.slot = np.full(matrix.m, -1, dtype=np.intp)  # column -> table row, -1 not yet sorted
+        self.tables: tuple[np.ndarray, ...] = ()
+        self.count = 0  # table rows in use
 
-    def check(self, matrix: FeatureMatrix, labels: LabelVector, features: np.ndarray, **settings) -> None:
-        """Raise ``ValueError`` unless a call matches what the tables hold."""
+    def check(self, matrix: FeatureMatrix, labels: LabelVector, **settings) -> None:
+        """Raise ``ValueError`` unless a call names the data and split
+        settings this evaluator was built from."""
         for name, value in settings.items():
             if value != self.settings[name]:
-                raise ValueError(f"presort was built for {name}={self.settings[name]!r}, got {value!r}")
+                raise ValueError(f"evaluator was built for {name}={self.settings[name]!r}, got {value!r}")
         if labels.labels is not self.labels and not np.array_equal(labels.labels, self.labels):
-            raise ValueError("presort was built for other labels")
+            raise ValueError("evaluator was built for other labels")
         if matrix.values is not self.values and not np.array_equal(matrix.values, self.values):
-            raise ValueError("presort was built for another feature matrix")
-        outside = features[self.slot.take(features) < 0]
-        if outside.size:
-            raise ValueError(f"feature {outside[0]} is not in the presorted pool")
+            raise ValueError("evaluator was built for another feature matrix")
 
-    def gather(self, features: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``_sort_columns``' flat buffers for ``features``, as fresh arrays."""
+    def sorted_columns(self, features: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``_sort_columns``' flat buffers for ``features``, as fresh
+        arrays; columns not asked for before are sorted first and kept."""
         slots = self.slot.take(features)
+        if (slots < 0).any():
+            self._keep(np.unique(features[slots < 0]))
+            slots = self.slot.take(features)
         return tuple(table.take(slots, axis=0).ravel() for table in self.tables)
+
+    def _keep(self, columns: np.ndarray) -> None:
+        """Sort distinct, not yet sorted ``columns`` and append their tables."""
+        n_splits = self.settings["n_splits"]
+        rows = self.train.ravel()
+        new = _sort_columns(
+            np.ascontiguousarray(self.values), rows, self.labels.take(rows).astype(np.int16), columns,
+            n_splits, max(1, _BLOCK // n_splits),
+        )
+        end = self.count + len(columns)
+        if not self.tables or end > len(self.tables[0]):
+            capacity = max(end, 2 * self.count)
+            grown = tuple(np.empty((capacity, len(rows)), dtype=table.dtype) for table in new)
+            for table, old in zip(grown, self.tables):
+                table[: self.count] = old[: self.count]
+            self.tables = grown
+        for table, fresh in zip(self.tables, new):
+            table[self.count : end] = fresh.reshape(len(columns), -1)
+        self.slot[columns] = np.arange(self.count, end)
+        self.count = end
 
 
 def evaluate_subset(
@@ -559,38 +545,36 @@ def evaluate_subset(
     n_splits: int = 10,
     test_fraction: float = 0.2,
     base_seed: int = 0,
-    presort: Presort | None = None,
+    evaluator: Evaluator | None = None,
 ) -> tuple[float, list[ClassificationMetrics]]:
     """Mean test accuracy of a feature subset over seeded repeated splits.
 
     Split k uses seed ``base_seed + k``, so the same arguments always yield
     the same value; this is the fitness the optimizer maximizes.  The
     trees of ``max(1, _BLOCK // len(features))`` splits grow together.
-    A ``presort`` built for these arguments and a pool holding the
-    features is a pure cache: the result is the same without it.
+    ``evaluator``, an ``Evaluator`` built for these arguments, lends the
+    split plans and column sorts of earlier calls; without it a one-off
+    evaluator is built.  The result is the same either way.
     """
-    if n_splits < 1:
-        raise ValueError("n_splits must be at least 1")
-    features = np.asarray(features, dtype=np.intp)
-    if features.size and not 0 <= features.min() <= features.max() < matrix.m:
-        raise ValueError(f"features must be column indices in 0..{matrix.m - 1}")
-    presorted = None
-    if presort is None:
-        train, test = _stacked_plans(labels, test_fraction, base_seed, n_splits)
-        test_labels = labels.labels[test]
+    features = np.asarray(features)
+    if features.ndim != 1 or features.size and not (
+        features.dtype.kind in "iu" and 0 <= features.min() <= features.max() < matrix.m
+    ):
+        raise ValueError(f"features must be 1-D integer column indices in 0..{matrix.m - 1}")
+    features = features.astype(np.intp, copy=False)
+    if evaluator is None:
+        evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
     else:
-        presort.check(
-            matrix, labels, features, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed
-        )
-        train, test, test_labels = presort.train, presort.test, presort.test_labels
-        if len(features) * n_splits <= _BLOCK:  # one group grows every split
-            presorted = presort.gather(features)  # at most _BLOCK x n_train cells per table
+        evaluator.check(matrix, labels, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed)
+    presorted = None
+    if len(features) * n_splits <= _BLOCK:  # one group grows every split
+        presorted = evaluator.sorted_columns(features)  # at most _BLOCK x n_train cells per table
     group = max(1, _BLOCK // max(len(features), 1))
     predicted = []
     for k in range(0, n_splits, group):
-        forest = _grow(matrix.values, labels.labels, features, train[k : k + group], presorted)
-        predicted.append(_route(forest, matrix.values, test[k : k + group]))
-    counts = _confusion_rows(test_labels, np.concatenate(predicted))
+        forest = _grow(matrix.values, labels.labels, features, evaluator.train[k : k + group], presorted)
+        predicted.append(_route(forest, matrix.values, evaluator.test[k : k + group]))
+    counts = _confusion_rows(evaluator.test_labels, np.concatenate(predicted))
     per_split = [ClassificationMetrics.from_counts(tp, tn, fp, fn) for tn, fp, fn, tp in counts]
     mean_overall = float(np.mean([m.overall for m in per_split]))
     return mean_overall, per_split

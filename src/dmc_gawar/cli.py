@@ -30,6 +30,7 @@ from .ga import write_convergence_csv
 from .pipeline import (
     PipelineConfig,
     baseline_report,
+    build_evaluator,
     build_stages,
     evaluate,
     experiment_report,
@@ -214,7 +215,7 @@ def _cmd_cluster(args) -> dict:
 def _cmd_optimize(args) -> dict:
     matrix, labels, config = _inputs(args)
     stages = build_stages(matrix, labels, config)
-    result = search(matrix, labels, config, stages)
+    result = search(matrix, labels, config, stages, build_evaluator(matrix, labels, config))
     if args.convergence:
         write_convergence_csv(result.history, args.convergence)
     return {

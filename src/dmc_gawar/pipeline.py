@@ -2,11 +2,12 @@
 
 This module is the only owner of the stage seed offsets (``SEED_*``) and
 of size clamping (``effective_sizes``); the CLI and library callers go
-through ``build_stages``, ``search`` and ``evaluate``.  Every stage draws
-randomness from the run seed plus its fixed offset, so a run is a pure
-function of (dataset, config).  Every evaluation uses the same split
-seeds, which makes the "after" overall accuracy equal the best fitness
-the search reports.
+through ``build_stages``, ``build_evaluator``, ``search`` and
+``evaluate``.  Every stage draws randomness from the run seed plus its
+fixed offset, so a run is a pure function of (dataset, config).  Every
+evaluation of a run goes through its one evaluator and so uses the same
+split seeds, which makes the "after" overall accuracy equal the best
+fitness the search reports.
 
 The report dicts are built here, and ``report_text`` is the one place
 that turns a report into bytes (sorted keys, two-space indent, one
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .classifier import ClassificationMetrics, Presort, evaluate_subset, mean_metrics, metric_stat
+from .classifier import ClassificationMetrics, Evaluator, evaluate_subset, mean_metrics, metric_stat
 from .data import DataError, FeatureMatrix, LabelVector
 from .feature_space import ClusterModel, build_feature_space, cluster_features
 from .ga import GAResult, SubsetOptimizer
@@ -128,33 +129,37 @@ def build_stages(matrix: FeatureMatrix, labels: LabelVector, config: PipelineCon
     return Stages(retained, model, space, n_var_eff)
 
 
+def build_evaluator(matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig) -> Evaluator:
+    """The run's one evaluator: its split plans and the column sorts its
+    narrow subsets share."""
+    return Evaluator(matrix, labels, config.n_splits, config.test_fraction, config.seed + SEED_EVAL)
+
+
 def evaluate(
-    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, features, presort=None
+    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, features,
+    evaluator: Evaluator | None = None,
 ) -> tuple[float, list[ClassificationMetrics]]:
     """The one evaluation protocol: fitness, before/after and baseline
     scores all use the same splits, so "after" equals the best fitness.
-    ``presort`` (the search's) only saves work."""
+    ``evaluator`` (the run's, from ``build_evaluator``) only saves work."""
     return evaluate_subset(
         matrix, labels, features,
         n_splits=config.n_splits, test_fraction=config.test_fraction,
-        base_seed=config.seed + SEED_EVAL, presort=presort,
+        base_seed=config.seed + SEED_EVAL, evaluator=evaluator,
     )
 
 
 def search(
-    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, stages: Stages
+    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, stages: Stages, evaluator: Evaluator
 ) -> GAResult:
-    """Search the pool for the subset of best mean holdout accuracy; the
-    pool is sorted under the evaluation splits once, for every fitness call."""
+    """Search the pool for the subset of best mean holdout accuracy; every
+    fitness call goes through the run's ``evaluator``."""
     if matrix.m < 2:  # the pool must be larger than the subset
         raise DataError(f"the subset search needs at least 2 features, the data has {matrix.m}")
-    presort = Presort(
-        matrix, labels, stages.space, config.n_splits, config.test_fraction, config.seed + SEED_EVAL
-    )
     return SubsetOptimizer(
         stages.space,
         stages.n_var,
-        lambda genes: evaluate(matrix, labels, config, genes, presort)[0],
+        lambda genes: evaluate(matrix, labels, config, genes, evaluator)[0],
         seed=config.seed + SEED_GA,
         n_pop=config.n_pop,
         stagnation_limit=config.stagnation_limit,
@@ -167,9 +172,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Rank, cluster, pool, search, then score before and after selection."""
     stages = build_stages(matrix, labels, config)
-    ga = search(matrix, labels, config, stages)
-    _, before_splits = evaluate(matrix, labels, config, np.arange(matrix.m))
-    _, after_splits = evaluate(matrix, labels, config, ga.best_genes)
+    evaluator = build_evaluator(matrix, labels, config)
+    ga = search(matrix, labels, config, stages, evaluator)
+    _, before_splits = evaluate(matrix, labels, config, np.arange(matrix.m), evaluator)
+    _, after_splits = evaluate(matrix, labels, config, ga.best_genes, evaluator)
     return PipelineResult(
         config=config,
         retained=tuple(int(j) for j in stages.retained),
@@ -232,11 +238,12 @@ def random_baseline(
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     stages = build_stages(matrix, labels, config)
+    evaluator = build_evaluator(matrix, labels, config)
     runs = []
     for i in range(n_runs):
         rng = np.random.default_rng(config.seed + SEED_BASELINE + i)
         genes = np.sort(rng.choice(stages.space, size=stages.n_var, replace=False))
-        _, splits = evaluate(matrix, labels, config, genes)
+        _, splits = evaluate(matrix, labels, config, genes, evaluator)
         runs.append(BaselineRun(tuple(int(g) for g in genes), mean_metrics(splits)))
     scores = [r.metrics for r in runs]
     return BaselineResult(tuple(runs), metric_stat(scores), metric_stat(scores, np.std))

@@ -70,8 +70,8 @@ def test_traced_cluster_and_pipeline_count_each_layer_once(tracing, tmp_path):
 def test_pipeline_calls_its_stages_through_its_own_globals(monkeypatch):
     # perfbench/run.py records a run's evaluations by patching
     # pipeline.evaluate_subset and binds each call's arguments by name; it
-    # refits the recorded calls without the search's presort, so the
-    # presort must be a pure cache: every GA call, replayed without it,
+    # refits the recorded calls without the run's evaluator, so the
+    # evaluator must be a pure cache: every call, replayed without it,
     # returns the identical fitness
     ds = make_planted(8, 8, 40, 4, 1.5, seed=3)
     config = pipeline.PipelineConfig(q=6, n_var=3, n_pop=6, stagnation_limit=3, n_splits=3, seed=7)
@@ -95,10 +95,8 @@ def test_pipeline_calls_its_stages_through_its_own_globals(monkeypatch):
     assert [len(arguments["features"]) for arguments, _ in evaluations[-2:]] == [
         ds.matrix.m, len(result.selected)
     ]
-    searched = [(arguments, fitness) for arguments, (fitness, _) in evaluations[:-2]]
-    assert len(searched) == result.ga.nfe
-    assert all(arguments.get("presort") is not None for arguments, _ in searched)
-    assert all(arguments.get("presort") is None for arguments, _ in evaluations[-2:])
-    for arguments, fitness in searched:
-        replay = {name: value for name, value in arguments.items() if name != "presort"}
+    (evaluator,) = {arguments["evaluator"] for arguments, _ in evaluations}  # one per run
+    assert isinstance(evaluator, classifier.Evaluator)
+    for arguments, (fitness, _) in evaluations:
+        replay = {name: value for name, value in arguments.items() if name != "evaluator"}
         assert classifier.evaluate_subset(**replay)[0] == fitness

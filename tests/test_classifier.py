@@ -7,7 +7,7 @@ from dmc_gawar import classifier
 from dmc_gawar.classifier import (
     _BLOCK,
     ClassificationMetrics,
-    Presort,
+    Evaluator,
     confusion_counts,
     evaluate_subset,
     fit_tree,
@@ -321,12 +321,14 @@ class TestEvaluate:
             train, test = list(plan.train_indices), list(plan.test_indices)
             predicted = oracle_predict(oracle_fit_tree(x[train], y[train]), x[test])
             want.append(ClassificationMetrics.from_counts(*confusion_counts(y[test], predicted)))
-        # also through a presort of a shuffled pool holding the features,
-        # which come in their drawn, unsorted order: under _BLOCK 256 one
-        # group reads the tables; under the small blocks only subsets of at
-        # most `block` (column, split) pairs do
+        # also through a fresh evaluator and through one already warmed by
+        # other columns, asked for one at a time in shuffled order, so the
+        # features (in their drawn, unsorted order) sit at scattered table
+        # rows or are sorted on first use: under _BLOCK 256 one group reads
+        # the tables; under the small blocks only subsets of at most
+        # `block` (column, split) pairs do
         rng = np.random.default_rng(base_seed)
-        pool = rng.permutation(np.union1d(features, rng.choice(matrix.m, size=matrix.m // 2)))
+        warm = rng.permutation(matrix.m)[: matrix.m // 2 + 1]
         # blocks of 1-5 (column, split) pairs: groups hold fewer splits than
         # n_splits, and wide subsets score their columns over several blocks
         with pytest.MonkeyPatch.context() as patch:
@@ -335,10 +337,13 @@ class TestEvaluate:
             scored = [evaluate_subset(matrix, labels, features, n_splits, test_fraction, base_seed)]
             for size in (block, _BLOCK):
                 patch.setattr(classifier, "_BLOCK", size)
-                presort = Presort(matrix, labels, pool, n_splits, test_fraction, base_seed)
-                scored.append(evaluate_subset(
-                    matrix, labels, features, n_splits, test_fraction, base_seed, presort=presort
-                ))
+                fresh, warmed = (Evaluator(matrix, labels, n_splits, test_fraction, base_seed) for _ in "ab")
+                for column in warm:
+                    warmed.sorted_columns(np.array([column]))
+                for evaluator in (fresh, warmed):
+                    scored.append(evaluate_subset(
+                        matrix, labels, features, n_splits, test_fraction, base_seed, evaluator=evaluator
+                    ))
         for mean_overall, per_split in scored:
             assert per_split == want
             assert mean_overall == float(np.mean([m.overall for m in want]))
@@ -374,7 +379,7 @@ class TestEvaluate:
         bad, _ = evaluate_subset(ds.matrix, ds.labels, noise, n_splits=6, base_seed=0)
         assert good > bad
 
-    def test_split_plans_are_built_once_per_setting(self, monkeypatch):
+    def test_split_plans_are_built_once_per_evaluator(self, monkeypatch):
         ds = make_planted(13, 16, 12, 3, 1.5, seed=8)
         built = []
 
@@ -383,21 +388,16 @@ class TestEvaluate:
             return stratified_split(labels, test_fraction, seed)
 
         monkeypatch.setattr(classifier, "stratified_split", counting_split)
-        monkeypatch.setattr(classifier, "_plan_memo", {})
-        evaluate_subset(ds.matrix, ds.labels, np.arange(12), n_splits=4, base_seed=3)
-        _, again = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=4, base_seed=3)
+        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.2, base_seed=3)
+        evaluate_subset(ds.matrix, ds.labels, np.arange(12), n_splits=4, base_seed=3, evaluator=evaluator)
+        _, again = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=4, base_seed=3,
+                                   evaluator=evaluator)
+        assert built == [3, 4, 5, 6]
+        # a call without an evaluator builds its own plans, every time
         _, shifted = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=4, base_seed=4)
         solo = evaluate_subset(ds.matrix, ds.labels, np.arange(5), n_splits=1, base_seed=5)[1][0]
-        assert built == [3, 4, 5, 6, 7]
+        assert built == [3, 4, 5, 6, 4, 5, 6, 7, 5]
         assert again[2].as_dict() == shifted[1].as_dict() == solo.as_dict()
-
-    def test_split_plan_memo_is_bounded(self):
-        matrix, labels = random_dataset(6, 6, 2, seed=1)
-        for seed in range(classifier._PLAN_MEMO_SIZE + 20):
-            evaluate_subset(
-                matrix, labels, np.arange(2), n_splits=1, test_fraction=0.25, base_seed=seed
-            )
-        assert len(classifier._plan_memo) <= classifier._PLAN_MEMO_SIZE
 
     @pytest.mark.parametrize(
         "change, message",
@@ -409,27 +409,39 @@ class TestEvaluate:
              "other labels"),
             (lambda ds: {"matrix": FeatureMatrix(ds.matrix.values + 1.0, ds.matrix.feature_names)},
              "another feature matrix"),
-            (lambda ds: {"features": np.array([1, 9])}, "feature 9 is not in the presorted pool"),
+            (lambda ds: {"features": np.array([9, 1])}, None),
         ],
         ids=["n_splits", "test_fraction", "base_seed", "labels", "matrix", "feature"],
     )
-    def test_presort_rejects_a_call_it_was_not_built_for(self, change, message):
+    def test_evaluator_serves_only_the_call_it_was_built_for(self, change, message):
         ds = make_planted(10, 10, 12, 3, 1.5, seed=6)
-        presort = Presort(ds.matrix, ds.labels, np.array([7, 1, 4, 0]), n_splits=4, test_fraction=0.25,
-                          base_seed=5)
+        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.25, base_seed=5)
         call = dict(matrix=ds.matrix, labels=ds.labels, features=np.array([1, 4]),
                     n_splits=4, test_fraction=0.25, base_seed=5)
-        evaluate_subset(**call, presort=presort)  # the matching call is accepted
-        with pytest.raises(ValueError, match=message):
-            evaluate_subset(**{**call, **change(ds)}, presort=presort)
+        evaluate_subset(**call, evaluator=evaluator)  # the matching call is accepted
+        other = {**call, **change(ds)}
+        if message is None:  # any column is served: 9 was never asked for before
+            assert evaluate_subset(**other, evaluator=evaluator) == evaluate_subset(**other)
+        else:
+            with pytest.raises(ValueError, match=message):
+                evaluate_subset(**other, evaluator=evaluator)
 
-    def test_presort_accepts_equal_copies_of_its_data(self):
+    def test_evaluator_accepts_equal_copies_of_its_data(self):
         ds = make_planted(10, 10, 12, 3, 1.5, seed=6)
-        presort = Presort(ds.matrix, ds.labels, np.arange(12), n_splits=4, test_fraction=0.25, base_seed=5)
+        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.25, base_seed=5)
         matrix = FeatureMatrix(ds.matrix.values.copy(), ds.matrix.feature_names)
         labels = LabelVector(ds.labels.labels.copy(), ds.labels.class_names)
-        got = evaluate_subset(matrix, labels, np.array([3, 2]), 4, 0.25, 5, presort=presort)
+        got = evaluate_subset(matrix, labels, np.array([3, 2]), 4, 0.25, 5, evaluator=evaluator)
         assert got == evaluate_subset(ds.matrix, ds.labels, np.array([3, 2]), 4, 0.25, 5)
+
+    def test_classifier_keeps_no_process_wide_container(self):
+        # a module-level dict, list or set would be state shared by every
+        # run, and a result could depend on what was evaluated before
+        held = [
+            name for name, value in vars(classifier).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        ]
+        assert held == []
 
     def test_test_value_on_a_threshold_goes_left(self):
         # train rows sit at 0 (class 0) and 2 (class 1), so the root splits
@@ -444,7 +456,11 @@ class TestEvaluate:
         )[1][0]
         assert (metrics.tp, metrics.tn, metrics.fp, metrics.fn) == (0, 3, 0, 2)
 
-    @pytest.mark.parametrize("features", [[0, 4], [-1, 2], [1, 9]])
+    # floats are not truncated to columns, a 2-D list is not broadcast and
+    # booleans are not read as 0/1 columns
+    @pytest.mark.parametrize(
+        "features", [[0, 4], [-1, 2], [1, 9], [1.9, 2.2], [[0, 1], [2, 3]], [True, False]]
+    )
     def test_features_must_be_columns(self, features):
         matrix, labels = random_dataset(6, 6, 4, seed=0)
         with pytest.raises(ValueError, match=r"column indices in 0\.\.3"):

@@ -11,14 +11,12 @@ from dmc_gawar.pipeline import (
     SEED_EVAL,
     PipelineConfig,
     baseline_report,
-    build_stages,
     effective_sizes,
     experiment_report,
     pipeline_report,
     random_baseline,
     run_experiment,
     run_pipeline,
-    search,
     write_json,
 )
 from dmc_gawar.synthetic import make_planted
@@ -163,9 +161,10 @@ class TestRunPipeline:
         with pytest.raises(DataError, match="at least 2 features, the data has 1"):
             run_pipeline(matrix, planted.labels, SMALL)
 
-    def test_search_builds_each_split_plan_once_past_the_plan_memo(self, planted, monkeypatch):
-        # more splits than the plan memo holds: the search's presort keeps
-        # every stacked plan, so no fitness call builds one again
+    def test_a_run_builds_each_split_plan_once(self, planted, monkeypatch):
+        # more splits than a 256-plan memo would hold: the run's one
+        # evaluator serves the search, "before" and "after", and the
+        # baseline's one evaluator serves all its draws
         built = []
 
         def counting_split(labels, test_fraction, seed):
@@ -173,15 +172,16 @@ class TestRunPipeline:
             return stratified_split(labels, test_fraction, seed)
 
         monkeypatch.setattr(classifier, "stratified_split", counting_split)
-        monkeypatch.setattr(classifier, "_plan_memo", {})
         config = PipelineConfig(
-            keep_fraction=0.2, q=5, n_var=2, n_pop=4, stagnation_limit=2,
-            n_splits=classifier._PLAN_MEMO_SIZE + 4, seed=1,
+            keep_fraction=0.2, q=5, n_var=2, n_pop=4, stagnation_limit=2, n_splits=260, seed=1,
         )
-        stages = build_stages(planted.matrix, planted.labels, config)
-        result = search(planted.matrix, planted.labels, config, stages)
-        assert result.nfe > 1
-        assert built == list(range(config.seed + SEED_EVAL, config.seed + SEED_EVAL + config.n_splits))
+        seeds = list(range(config.seed + SEED_EVAL, config.seed + SEED_EVAL + config.n_splits))
+        result = run_pipeline(planted.matrix, planted.labels, config)
+        assert result.ga.nfe > 1
+        assert built == seeds
+        built.clear()
+        random_baseline(planted.matrix, planted.labels, config, n_runs=3)
+        assert built == seeds
 
     def test_seed_changes_result(self, planted):
         other = PipelineConfig(

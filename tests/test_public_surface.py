@@ -1,8 +1,8 @@
 """The package's top-level names are the ones the README and demos use.
 
-The demos are not run by the test suite, so this reads their imports (and
-the README's code blocks) with ``ast`` and checks them against
-``dmc_gawar.__all__``.
+``tests/test_demos.py`` runs the demos; this reads their imports (and the
+README's code blocks, which nothing runs) with ``ast`` and checks them
+against ``dmc_gawar.__all__``, so a missing name is reported by name.
 """
 
 import ast
