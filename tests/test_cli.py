@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from dmc_gawar import cli
 from dmc_gawar.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dmc_gawar.data import save_csv
+from dmc_gawar.pipeline import PipelineConfig
 from dmc_gawar.synthetic import make_planted
 
 
@@ -229,6 +231,66 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err == "dmc-gawar: invalid option: config file must hold a JSON object\n"
+
+    def test_config_keys_are_exactly_the_config_fields(self, capsys, data_csv, tmp_path):
+        # every field, each off its default, is read from the file ...
+        shifted = {"int": lambda v: v + 1, "float": lambda v: v / 2, "str": lambda v: "mc"}
+        values = {
+            f.name: shifted[f.type](f.default) for f in dataclasses.fields(PipelineConfig)
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        args = cli.build_parser().parse_args(["pipeline", data_csv, "--config", str(config)])
+        assert cli._merge_config(args) == PipelineConfig(**values)
+        # ... and no other option is a config key
+        for key in sorted(set(vars(args)) - set(values)):
+            config.write_text(json.dumps({key: 1}))
+            code = main(["pipeline", data_csv, "--config", str(config)])
+            assert code == EXIT_USAGE, key
+            assert capsys.readouterr().err == f"dmc-gawar: invalid option: unknown config keys: {key}\n"
+
+
+def subparsers():
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+class TestParser:
+    """The flags, their types and the exact ``--help`` bytes (Python 3.11's
+    argparse layout at 80 columns)."""
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ((), "7ef1467688e624964b4046826e61c7003aaa9bcba035af15ef4ddf430068232f"),
+            (("rank",), "44b589dfe812becfa775a9530c3f36c8210fad771e0356d732ed3117a5ed6acc"),
+            (("cluster",), "ec51bd03550fb39e1636b54ade4a84acd80cbddec45bd99371113f05e32ee657"),
+            (("optimize",), "c736c39ce9287ea8acd6d1f38e1191cbe8b6b3ac650a45fba30e1389b9a75c30"),
+            (("evaluate",), "b22f2a8ce4c01cd0aa9960d50270a78934cc204e0b07eeba4082e45f8e67cf21"),
+            (("pipeline",), "7441427ea3cbdada4836d60cb0fc54fe050518c90c2aac3acf7ee94c82ec4475"),
+            (("experiment",), "54efb05a5f7e200e7c864faf1f7e24b3e429a56d43f5e3bafd17cc2089a8c807"),
+            (("baseline",), "f436b195e670d577d862adc055af49efbf40f04ec26e43a1736ca0cfa7499859"),
+        ],
+        ids=["top", "rank", "cluster", "optimize", "evaluate", "pipeline", "experiment", "baseline"],
+    )
+    def test_help_digest(self, capsys, monkeypatch, command, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("field", dataclasses.fields(PipelineConfig), ids=lambda f: f.name)
+    def test_every_config_field_is_a_typed_flag(self, field):
+        flag = "--" + field.name.replace("_", "-")
+        commands = [name for name, sub in subparsers().items() if flag in sub._option_string_actions]
+        assert commands, flag
+        value = field.default
+        for command in commands:
+            args = cli.build_parser().parse_args([command, "data.csv", flag, str(value)])
+            parsed = getattr(args, field.name)
+            assert type(parsed).__name__ == field.type and parsed == value, command
 
 
 class TestExitCodes:
