@@ -473,8 +473,8 @@ class Evaluator:
 
     The sort tables are ``_sort_columns``' output, one row of
     ``n_splits * n_train`` stacked row ids, ranks and labels per column,
-    in the order the columns were first asked for; their capacity doubles
-    as columns arrive, so only columns in use are held.
+    in the order the columns were first asked for; each sort appends its
+    rows, so only columns in use are held.
     ``evaluate_subset`` reads them only when one group grows every split
     (``len(features) * n_splits <= _BLOCK``), so a gather copies at most
     ``_BLOCK * n_train`` cells of each; wider subsets sort their own
@@ -495,7 +495,6 @@ class Evaluator:
         self.test_labels = labels.labels[self.test]
         self.slot = np.full(matrix.m, -1, dtype=np.intp)  # column -> table row, -1 not yet sorted
         self.tables: tuple[np.ndarray, ...] = ()
-        self.count = 0  # table rows in use
 
     def check(self, matrix: FeatureMatrix, labels: LabelVector, **settings) -> None:
         """Raise ``ValueError`` unless a call names the data and split
@@ -525,17 +524,9 @@ class Evaluator:
             np.ascontiguousarray(self.values), rows, self.labels.take(rows).astype(np.int16), columns,
             n_splits, max(1, _BLOCK // n_splits),
         )
-        end = self.count + len(columns)
-        if not self.tables or end > len(self.tables[0]):
-            capacity = max(end, 2 * self.count)
-            grown = tuple(np.empty((capacity, len(rows)), dtype=table.dtype) for table in new)
-            for table, old in zip(grown, self.tables):
-                table[: self.count] = old[: self.count]
-            self.tables = grown
-        for table, fresh in zip(self.tables, new):
-            table[self.count : end] = fresh.reshape(len(columns), -1)
-        self.slot[columns] = np.arange(self.count, end)
-        self.count = end
+        self.slot[columns] = self.slot.max() + 1 + np.arange(len(columns))
+        new = tuple(table.reshape(len(columns), -1) for table in new)
+        self.tables = tuple(map(np.concatenate, zip(self.tables, new))) if self.tables else new
 
 
 def evaluate_subset(

@@ -42,14 +42,18 @@ from .pipeline import (
     search,
     write_json,
 )
-from .rankers import keep_count, order_by_score, score_features
+from .rankers import METHODS, keep_count, order_by_score, score_features
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
+# The config-file keys, each with the type of its flag.
+_CONFIG_FIELDS = {
+    f.name: {"int": int, "float": float, "str": str}[f.type]
+    for f in dataclasses.fields(PipelineConfig)
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,77 +107,55 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(report_text(report))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("data", help="CSV file: header row, numeric features, label column")
-    parser.add_argument("--label-column", help="label column name (default: last column)")
-    parser.add_argument("--config", help="JSON file of option defaults")
-    parser.add_argument("--output", help="write the JSON report here instead of stdout")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-
-
-def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--keep-fraction", type=float, help="fraction of features to retain")
-    parser.add_argument("--method", choices=("dmc", "mc"), help="scoring method")
-
-
-def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q", type=int, help="cluster count / candidate pool size")
-    parser.add_argument("--n-restarts", type=int, help="clustering restarts")
-
-
-def _add_n_var(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-var", type=int, help="selected subset size")
-
-
-def _add_search_options(parser: argparse.ArgumentParser) -> None:
-    _add_n_var(parser)
-    parser.add_argument("--n-pop", type=int, help="population size")
-    parser.add_argument("--stagnation-limit", type=int, help="stagnant iterations before stopping")
-    parser.add_argument("--max-iterations", type=int, help="hard iteration cap")
-    parser.add_argument("--convergence", help="write the per-iteration log CSV here")
-
-
-def _add_eval_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-splits", type=int, help="repeated holdout count")
-    parser.add_argument("--test-fraction", type=float, help="holdout fraction")
-
-
-def _add_features(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--features", help="comma-separated feature indices (default: all)")
-
-
-def _add_n_runs(noun: str):
-    def add(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--n-runs", type=int, default=3, help=f"number of {noun} (default 3)")
-
-    return add
-
-
-_SCREEN = (_add_ranking_options, _add_cluster_options)
-_FULL = (*_SCREEN, _add_search_options, _add_eval_options)
+# Every flag's help text, a format string filled with the subcommand's unit
+# of --n-runs.  A flag named after a config field takes that field's type;
+# the other flags' types, defaults and choices are in _OPTIONS.
+_HELP = {
+    "label-column": "label column name (default: last column)",
+    "config": "JSON file of option defaults",
+    "output": "write the JSON report here instead of stdout",
+    "seed": "master seed (default 0)",
+    "keep-fraction": "fraction of features to retain",
+    "method": "scoring method",
+    "q": "cluster count / candidate pool size",
+    "n-restarts": "clustering restarts",
+    "n-var": "selected subset size",
+    "n-pop": "population size",
+    "stagnation-limit": "stagnant iterations before stopping",
+    "max-iterations": "hard iteration cap",
+    "convergence": "write the per-iteration log CSV here",
+    "n-splits": "repeated holdout count",
+    "test-fraction": "holdout fraction",
+    "features": "comma-separated feature indices (default: all)",
+    "n-runs": "number of {} (default 3)",
+}
+_OPTIONS = {"method": {"choices": METHODS}, "n-runs": {"type": int, "default": 3}}
+_RUNS_UNIT = {"experiment": "repeats", "baseline": "draws"}
+_SCREEN = ("keep-fraction", "method", "q", "n-restarts")
+_EVAL = ("n-splits", "test-fraction")
+_FULL = (*_SCREEN, "n-var", "n-pop", "stagnation-limit", "max-iterations", "convergence", *_EVAL)
+# name: (help, flags after the common ones); the handler is ``_cmd_<name>``
+_COMMANDS = {
+    "rank": ("score features and list the retained ones", ("keep-fraction", "method")),
+    "cluster": ("group retained features and sample a pool", _SCREEN),
+    "optimize": ("search the pool for the best subset", _FULL),
+    "evaluate": ("score a feature subset on repeated splits", (*_EVAL, "features")),
+    "pipeline": ("full run with before/after comparison", _FULL),
+    "experiment": ("repeat the pipeline over shifted seeds", (*_FULL, "n-runs")),
+    "baseline": ("random subsets from the same pool", (*_SCREEN, "n-var", *_EVAL, "n-runs")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dmc-gawar", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    commands = (
-        ("rank", "score features and list the retained ones", _cmd_rank, (_add_ranking_options,)),
-        ("cluster", "group retained features and sample a pool", _cmd_cluster, _SCREEN),
-        ("optimize", "search the pool for the best subset", _cmd_optimize, _FULL),
-        ("evaluate", "score a feature subset on repeated splits", _cmd_evaluate,
-         (_add_eval_options, _add_features)),
-        ("pipeline", "full run with before/after comparison", _cmd_pipeline, _FULL),
-        ("experiment", "repeat the pipeline over shifted seeds", _cmd_experiment,
-         (*_FULL, _add_n_runs("repeats"))),
-        ("baseline", "random subsets from the same pool", _cmd_baseline,
-         (*_SCREEN, _add_n_var, _add_eval_options, _add_n_runs("draws"))),
-    )
-    for name, help_text, handler, option_groups in commands:
+    for name, (help_text, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        _add_common(sub)
-        for add_options in option_groups:
-            add_options(sub)
-        sub.set_defaults(handler=handler)
+        sub.add_argument("data", help="CSV file: header row, numeric features, label column")
+        for flag in ("label-column", "config", "output", "seed", *flags):
+            option = {"type": _CONFIG_FIELDS.get(flag.replace("-", "_")), **_OPTIONS.get(flag, {})}
+            sub.add_argument("--" + flag, help=_HELP[flag].format(_RUNS_UNIT.get(name)), **option)
+        sub.set_defaults(handler=globals()["_cmd_" + name])
     return parser
 
 

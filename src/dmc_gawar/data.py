@@ -255,13 +255,14 @@ def _load_rows(path: Path, label_column: str | None) -> tuple[FeatureMatrix, Lab
         header, label_idx, feature_names = _read_header(reader, label_column)
         m = len(feature_names)
         rows: list[np.ndarray] = []
-        label_strings: list[str] = []
+        codes: list[int] = []
+        class_codes: dict[str, int] = {}  # label string -> code, by first appearance
         for line_no, record in enumerate(reader, start=2):
             if not record:
                 continue  # blank line
             if len(record) != len(header):
                 raise ParseError(line_no, 1, f"<{len(record)} fields, expected {len(header)}>")
-            label_strings.append(record[label_idx])
+            codes.append(class_codes.setdefault(record[label_idx], len(class_codes)))
             cells = record[:label_idx] + record[label_idx + 1 :]
             try:
                 row = np.fromiter(map(float, cells), dtype=float, count=m)
@@ -271,19 +272,11 @@ def _load_rows(path: Path, label_column: str | None) -> tuple[FeatureMatrix, Lab
                 raise _row_error(line_no, record, label_idx)
             rows.append(row)
 
-    class_names: list[str] = []
-    for s in label_strings:
-        if s not in class_names:
-            class_names.append(s)
-    if len(class_names) != 2:
-        raise NotBinaryLabelsError(len(class_names))
-    codes = np.array([class_names.index(s) for s in label_strings], dtype=int)
+    if len(class_codes) != 2:
+        raise NotBinaryLabelsError(len(class_codes))
     if (np.bincount(codes) < 2).any():
         raise DataError("each class needs at least 2 samples")
-
-    matrix = FeatureMatrix(np.stack(rows), feature_names)
-    labels = LabelVector(codes, (class_names[0], class_names[1]))
-    return matrix, labels
+    return FeatureMatrix(np.stack(rows), feature_names), LabelVector(codes, tuple(class_codes))
 
 
 def _csv_cell(text: str) -> str:
@@ -339,15 +332,12 @@ def stratified_split(labels: LabelVector, test_fraction: float, seed: int) -> Sp
             )
 
     rng = np.random.default_rng(seed)
-    test: list[int] = []
-    train: list[int] = []
-    for c in (0, 1):
-        shuffled = rng.permutation(class_indices[c])
-        test.extend(int(i) for i in shuffled[: take[c]])
-        train.extend(int(i) for i in shuffled[take[c] :])
+    shuffled = [rng.permutation(idx) for idx in class_indices]
+    test = np.concatenate([s[:t] for s, t in zip(shuffled, take)])
+    train = np.concatenate([s[t:] for s, t in zip(shuffled, take)])
     return SplitPlan(
-        train_indices=tuple(sorted(train)),
-        test_indices=tuple(sorted(test)),
+        train_indices=tuple(np.sort(train).tolist()),
+        test_indices=tuple(np.sort(test).tolist()),
         test_fraction=test_fraction,
         seed=seed,
     )

@@ -27,7 +27,7 @@ from .classifier import ClassificationMetrics, Evaluator, evaluate_subset, mean_
 from .data import DataError, FeatureMatrix, LabelVector
 from .feature_space import ClusterModel, build_feature_space, cluster_features
 from .ga import GAResult, SubsetOptimizer
-from .rankers import keep_count, rank_all
+from .rankers import METHODS, keep_count, rank_all
 
 SEED_KMEANS = 101
 SEED_SPACE = 211
@@ -64,8 +64,8 @@ class PipelineConfig:
                 not isinstance(value, numbers.Real) or isinstance(value, bool)
             ):
                 raise ValueError(f"{field.name} must be a number, got {value!r}")
-        if self.method not in ("dmc", "mc"):
-            raise ValueError(f"method must be 'dmc' or 'mc', got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {self.method!r}")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
         if not 0.0 < self.test_fraction < 1.0:

@@ -38,6 +38,9 @@ import numpy as np
 
 from .data import FeatureMatrix, LabelVector
 
+# The scoring methods: the distance score and the mutual-congestion width.
+METHODS = ("dmc", "mc")
+
 # Columns scored per pass.  Each (block x n) temporary stays in cache
 # (400 KB at n = 100); 512 scored 100 x 20000 faster than 256 or 2048.
 SCORE_BLOCK = 512
@@ -85,15 +88,23 @@ def find_region(values: np.ndarray, labels: np.ndarray) -> CongestionRegion:
     if values.ndim != 1 or values.shape != labels.shape:
         raise ValueError("values and labels must be equal-length 1-D arrays")
     _check_labels(labels)
-    order = np.argsort(values, kind="stable")
+    order, _, start, end = _regions(values[None, :], labels)
+    return CongestionRegion(
+        order=order[0], start=int(start[0]), end=int(end[0]), x_class=int(labels[order[0, 0]])
+    )
+
+
+def _regions(columns: np.ndarray, labels: np.ndarray):
+    """The congestion regions of the b feature columns held as the rows of
+    a (b x n) array: each row's stable ascending order, the mask of its
+    x-class in sorted position, and the region's first y-class and last
+    x-class positions."""
+    order = np.argsort(columns, axis=1, kind="stable")
     sorted_labels = labels[order]
-    x_class = int(sorted_labels[0])
-    y_class = 1 - x_class
-    y_positions = np.flatnonzero(sorted_labels == y_class)
-    x_positions = np.flatnonzero(sorted_labels == x_class)
-    start = int(y_positions[0])
-    end = int(x_positions[-1])
-    return CongestionRegion(order=order, start=start, end=end, x_class=x_class)
+    is_x = sorted_labels == sorted_labels[:, :1]
+    start = np.argmax(~is_x, axis=1)  # first y-class position
+    end = columns.shape[1] - 1 - np.argmax(is_x[:, ::-1], axis=1)  # last x-class position
+    return order, is_x, start, end
 
 
 def _row_sums(d: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -123,11 +134,7 @@ def _score_block(columns: np.ndarray, labels: np.ndarray, method: str) -> np.nda
     """Scores of the b feature columns held as the rows of a C-ordered (b x n)
     array; see ``score_features``."""
     n = columns.shape[1]
-    order = np.argsort(columns, axis=1, kind="stable")
-    sorted_labels = labels[order]
-    is_x = sorted_labels == sorted_labels[:, :1]
-    start = np.argmax(~is_x, axis=1)  # first y-class position
-    end = n - 1 - np.argmax(is_x[:, ::-1], axis=1)  # last x-class position
+    order, is_x, start, end = _regions(columns, labels)
     empty = end < start
     if method == "mc":
         return np.where(empty, 0, end - start + 1) / n
@@ -154,7 +161,7 @@ def _score_block(columns: np.ndarray, labels: np.ndarray, method: str) -> np.nda
 
 
 def _score_columns(values: np.ndarray, labels: np.ndarray, method: str) -> np.ndarray:
-    if method not in ("dmc", "mc"):
+    if method not in METHODS:
         raise ValueError(f"unknown scoring method {method!r}")
     if labels.shape != values.shape[:1]:
         raise ValueError("labels must hold one entry per row of values")
