@@ -1,5 +1,7 @@
-"""Every demo script runs to completion, quietly, from a scratch directory."""
+"""Every demo script runs to completion, quietly, from a scratch directory;
+the search demos print the same bytes on every run."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +11,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+# SHA-256 of the standard output of the demos whose numbers come from a search
+STDOUT_SHA256 = {
+    "04_adaptive_search": "275aecac434b3a9179a77aa94989d88a991637413eb0464842d8a9a6db4948f0",
+    "05_full_pipeline": "3c99a9eb19b361a6df68f8055ae783233f2af598ee23dd0eb58bd6085f21c225",
+}
 
 
 def test_demos_are_found():
@@ -24,3 +31,5 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout
+    if demo.stem in STDOUT_SHA256:
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.stem]

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import math
 from unittest import mock
 
@@ -237,6 +239,20 @@ class TestSubsetOptimizer:
         assert a == b
         c = SubsetOptimizer(range(25), 4, fitness, seed=10, n_pop=8, stagnation_limit=6).run()
         assert a.history != c.history
+
+    def test_fitness_sees_the_pinned_key_sequence(self):
+        # the exact subsets scored, in order: any change to the RNG stream,
+        # the operators or the cache shows here
+        keys = []
+
+        def fitness(genes):
+            keys.append(genes)
+            return sum(genes) / 100.0
+
+        result = SubsetOptimizer(range(25), 4, fitness, seed=9, n_pop=8, stagnation_limit=25).run()
+        assert len(keys) == result.nfe == 176
+        digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
+        assert digest == "c1d15686a836e3055613a7d0a783760bcf42e0414373e3a4130191f6942d7cfd"
 
     def test_finds_easy_optimum(self):
         space = list(range(30))
