@@ -6,11 +6,11 @@ planted optimum rewards progress, and every improvement snaps the rates
 back to their initial values.
 """
 
-from dmc_gawar import SubsetOptimizer, write_convergence_csv
+from dmc_gawar import SubsetOptimizer, per_subset, write_convergence_csv
 
 print("run 1: constant fitness, pure stagnation")
 flat = SubsetOptimizer(
-    range(30), 5, lambda genes: 1.0, seed=0, n_pop=20, stagnation_limit=30
+    range(30), 5, per_subset(lambda genes: 1.0), seed=0, n_pop=20, stagnation_limit=30
 ).run()
 print("iterations:", flat.n_iterations)
 print("iter  p_c  p_m  n_c  n_m  full_mutation")
@@ -26,7 +26,7 @@ planted = set(range(5, 100, 10))
 result = SubsetOptimizer(
     list(range(100)),
     10,
-    lambda genes: len(set(genes) & planted) / 10.0,
+    per_subset(lambda genes: len(set(genes) & planted) / 10.0),
     seed=1,
     n_pop=20,
     stagnation_limit=30,

@@ -13,7 +13,7 @@ imported from its submodule (``dmc_gawar.pipeline``, ``dmc_gawar.data``, ...).
 from .classifier import ClassificationMetrics, confusion_counts, evaluate_subset, fit_tree, predict
 from .data import DataError, load_csv, stratified_split
 from .feature_space import build_feature_space, cluster_features, minmax_normalize
-from .ga import SubsetOptimizer, write_convergence_csv
+from .ga import SubsetOptimizer, per_subset, write_convergence_csv
 from .pipeline import PipelineConfig, pipeline_report, random_baseline, run_pipeline, write_json
 from .rankers import dmc_score, find_region, mc_score
 
@@ -32,6 +32,7 @@ __all__ = [
     "cluster_features",
     "minmax_normalize",
     "SubsetOptimizer",
+    "per_subset",
     "write_convergence_csv",
     "PipelineConfig",
     "pipeline_report",

@@ -10,37 +10,46 @@ split strictly shrinks both children, so growth always terminates.  Trees
 grow level by level, not by recursion, so a tree may be as deep as it has
 rows.
 
-One grower, ``_grow``, grows the trees of a group of splits together,
-breadth first, as SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996) grows a
-presorted CART tree.  It starts from every (column, split) sorted once and
-keeps, per column, the stacked row ids, value ranks and label codes in that
-order.  One ``Evaluator`` per run sorts a column under the run's train
-splits the first time a narrow subset asks for it and keeps the result,
-so later calls gather their columns' rows of those tables instead of
-sorting them again; a wider subset sorts its own columns.
+One grower, ``_grow``, grows a forest breadth first, as SLIQ (Mehta,
+Agrawal & Rissanen, EDBT 1996) grows a presorted CART tree.  Each tree has
+its own train rows and its own row of a (trees x k) column grid: the ten
+splits of one subset repeat the subset's row, and a batch of subsets
+stacks their rows.  It starts from every (column, tree) sorted once and
+keeps, per grid column, the stacked row ids and value ranks in that
+order; a row's label code is read through its id.  One ``Evaluator`` per
+run sorts a column under the run's train splits the first time a narrow
+subset asks for it and keeps the result, so later batches gather their
+columns' rows of those tables instead of sorting them again; a wider
+subset sorts its own columns.
 The open nodes of a level lie side by side, as segments at the same
-positions in every column, each sorted by that column.  A running sum of
-the codes along a block of columns, less each node's starting sum, gives
-the left child of every cut of every node of every tree in one pass.  A
-cut between equal values (equal ranks) or past a node's last row is no
-cut.  Each node's minimum (``np.minimum.reduceat``) picks the earliest
-column, then the first cut, and across blocks only a strictly lower value
-wins: the row-major order of a per-node sweep, so each tree is the one a
-node-by-node grower builds.  The winning column's order sends each node's
-rows left or right, and one flat index per block regroups the rows of
-open children, still sorted, for the next level.  Pure nodes, nodes of
-fewer than 2 rows and nodes constant on every column become leaves.  A
-level only records its nodes, winners and cut rows; the node arrays and
-thresholds of all levels are written in one pass after the last, so the
-level loop does no per-node bookkeeping.
+positions in every grid column, each sorted by that tree's column there.
+A running sum of the codes along a block of grid columns, less each
+node's starting sum, gives the left child of every cut of every node of
+every tree in one pass.  A cut between equal values (equal ranks) or past
+a node's last row is no cut.  Each node's minimum
+(``np.minimum.reduceat``) picks the earliest column, then the first cut,
+and across blocks only a strictly lower value wins: the row-major order of
+a per-node sweep, so each tree is the one a node-by-node grower builds.
+The winning grid column's order sends each node's rows left or right, and
+one flat index per block regroups the rows of open children, still
+sorted, for the next level.  Pure nodes, nodes of fewer than 2 rows and
+nodes constant on every column become leaves.  A level only records its
+nodes, winners and cut rows; the node arrays and thresholds of all levels
+are written in one pass after the last, where a cut's stacked row names
+its tree and so its grid row, so the level loop does no per-node
+bookkeeping.  Positions, cuts and code sums are int32 wherever that is
+exact.
 
 The trees are flat node arrays: feature, threshold, left child and
-prediction.  ``evaluate_subset`` routes the test rows of all its splits
-through them at once, one level per step, and ``fit_tree`` is a group of
-one split, converted to ``TreeNode``s.  A group holds at most ``_BLOCK``
-(column, split) pairs, ``max(1, _BLOCK // k)`` splits of a k-column
-subset: the ten splits of a narrow subset grow together, and a fit on
-thousands of columns grows alone, ``_BLOCK`` columns per pass.
+prediction.  The test rows of all trees are routed through them at once,
+one level per step, and ``fit_tree`` is a forest of one tree, converted to
+``TreeNode``s.  A pass holds at most ``_BLOCK`` (column, tree) pairs.
+``Evaluator.stage`` scores a batch of equal-length subsets: narrow ones
+(``k * n_splits <= _BLOCK``) grow as forests of ``max(1, _BLOCK // (2 *
+n_splits))`` subsets, 12 subsets of ten trees at the defaults, two grid
+columns per pass; a wider subset grows alone, ``max(1, _BLOCK // k)``
+splits per forest, so a fit on thousands of columns grows one tree at a
+time, ``_BLOCK`` columns per pass.
 
 The weighted Gini of a cut depends only on four integers: the left size
 and left ones, the node size and node ones.  A child of ``m`` rows, ``o``
@@ -53,9 +62,13 @@ so every weighted Gini, and with it every tie and every tree, is
 bit-identical to the formula's, which larger fits still evaluate.
 
 One evaluator per run: a run scores thousands of subsets under the same
-few split plans, which its ``Evaluator`` builds once.  ``evaluate_subset``
-without one builds a one-off evaluator; no plan or sort outlives its
-evaluator, so a result never depends on what was evaluated before.
+few split plans, which its ``Evaluator`` builds once.  Its ``stage`` holds
+each subset's per-split confusion counts until ``evaluate_subset``
+collects them; ``evaluate_subset`` stages a subset nobody staged as a
+batch of one.  ``evaluate_subset`` without an evaluator builds a one-off
+evaluator; no plan, sort or count outlives its evaluator, and a batch's
+counts are those of one-off calls, so a result never depends on what was
+evaluated before or beside it.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -71,7 +84,7 @@ import numpy as np
 
 from .data import FeatureMatrix, LabelVector, stratified_split
 
-# (column, split) pairs sorted and scored per pass; bounds the temporaries
+# (column, tree) pairs sorted and scored per pass; bounds the temporaries
 # on wide inputs.
 _BLOCK = 256
 # Largest fit whose child Gini terms come from a table of (n + 1)**2
@@ -160,21 +173,22 @@ def _regroup(buffers: tuple[np.ndarray, ...], side: np.ndarray, k: int, width: i
 
 
 def _sort_columns(
-    values: np.ndarray, rows: np.ndarray, codes: np.ndarray, columns: np.ndarray, n_splits: int, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The presort: every (column, split) of the stacked ``rows`` in
-    ascending order, as flat (columns x stacked rows) buffers of stacked
-    row ids, ranks and the rows' ``codes``, ``width`` columns per
-    ``argsort``.  A rank counts the gaps below a value, so equal ranks mean
-    no cut.  Ties may come in any order: no cut separates them."""
-    n = len(rows) // n_splits
-    order = np.empty(len(columns) * len(rows), dtype=np.int32)
-    ranks = np.zeros(len(columns) * len(rows), dtype=np.min_scalar_type(n))
-    sorted_codes = np.empty(len(columns) * len(rows), dtype=codes.dtype)
-    for start in range(0, len(columns), width):
+    values: np.ndarray, rows: np.ndarray, columns: np.ndarray, n: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The presort: every (column, tree) of the stacked ``rows``, ``n``
+    per tree, in ascending order, as flat (columns x stacked rows) buffers
+    of stacked row ids and ranks, ``width`` columns per ``argsort``.
+    ``columns`` is (k x trees), or (k x 1) for the same columns in every
+    tree.  A rank counts the gaps below a value, so equal ranks mean no
+    cut.  Ties may come in any order: no cut separates them."""
+    k = len(columns)
+    order = np.empty(k * len(rows), dtype=np.int32)
+    ranks = np.zeros(k * len(rows), dtype=np.min_scalar_type(n))
+    cell_of_row = rows.reshape(-1, n) * values.shape[1]  # (trees x n) flat cell of column 0
+    for start in range(0, k, width):
         chunk = columns[start : start + width]
         cells = slice(start * len(rows), (start + len(chunk)) * len(rows))
-        block = values.take(rows * values.shape[1] + chunk[:, None]).reshape(len(chunk), n_splits, n)
+        block = values.take(cell_of_row + chunk[:, :, None])  # (chunk x trees x n)
         flat = np.argsort(block, axis=2)
         flat += np.arange(0, block.size, n).reshape(block.shape[:2] + (1,))
         ordered = block.take(flat)
@@ -182,12 +196,12 @@ def _sort_columns(
         np.cumsum(gaps, axis=2, dtype=ranks.dtype, out=ranks[cells].reshape(block.shape)[:, :, 1:])
         flat -= np.arange(0, block.size, len(rows))[:, None, None]  # stacked row ids
         order[cells] = flat.ravel()
-        sorted_codes[cells] = codes.take(flat.ravel())
-    return order, ranks, sorted_codes
+    return order, ranks
 
 
 def _best_cuts(
-    codes: np.ndarray,
+    code: np.ndarray,
+    order: np.ndarray,
     ranks: np.ndarray,
     size: np.ndarray,
     starts: np.ndarray,
@@ -203,25 +217,29 @@ def _best_cuts(
     column, then first cut, and a later block of ``width`` columns must be
     strictly lower.
 
-    ``node_code`` is the sum of each node's codes.  A running sum of codes
-    less the codes of the nodes before is the code of a cut's left child,
-    and ``node_code`` less that the code of its right child: a flat table
-    index, or without a table the class-1 count, from which the formula
-    computes the term with counts carried as exact float64.
+    ``order`` holds the stacked row ids of each column's positions and
+    ``code`` the code of each stacked row; ``node_code`` is the sum of
+    each node's codes.  A running sum of codes less the codes of the nodes
+    before is the code of a cut's left child, and ``node_code`` less that
+    the code of its right child: a flat table index, or without a table
+    the class-1 count, from which the formula computes the term with
+    counts carried as exact float64.
     """
+    index = node_of.dtype  # of every position, cut and sum array
     of = node_of[:-1]  # node of each cut
-    cuts = np.arange(len(of))
+    cuts = np.arange(len(of), dtype=index)
     inside = of == node_of[1:]  # the cut after a node's last row leaves it
-    code_end = node_code.cumsum().take(of)
+    node_code = node_code.astype(index, copy=False)
+    code_end = node_code.cumsum(dtype=index).take(of)
     code_before = code_end - node_code.take(of)
     node_size = size.take(of)
     if table is None:
         left_n = cuts - starts.take(of) + 1.0
         right_n = np.maximum(node_size - left_n, 1.0)  # 0 only where the cut is masked
 
-    for start in range(0, len(codes), width):
+    for start in range(0, len(order), width):
         block = slice(start, start + width)
-        running = codes[block, :-1].cumsum(axis=1)
+        running = code.take(order[block, :-1]).cumsum(axis=1, dtype=index)
         if table is None:
             left_terms = _child_terms(left_n, running - code_before)
             weighted = (left_terms + _child_terms(right_n, code_end - running)) / node_size
@@ -231,7 +249,7 @@ def _best_cuts(
         cut &= inside
         weighted = np.where(cut, weighted, np.inf)
         lowest = np.minimum.reduceat(weighted, starts, axis=1)
-        column = lowest.argmin(axis=0)
+        column = lowest.argmin(axis=0).astype(index)
         lowest = lowest.min(axis=0)
         if start:
             better = lowest < best
@@ -257,17 +275,17 @@ _SIDES = np.array([[0], [1]], dtype=np.int8)
 def _grow(
     values: np.ndarray,
     labels: np.ndarray,
-    columns: np.ndarray,
+    grid: np.ndarray,
     train: np.ndarray,
-    presorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    presorted: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> _Forest:
     """Grow one tree per row of ``train`` (row ids of ``values`` and
-    ``labels``, one split per row, all of one size) on the given columns,
-    all trees one level per step.  Either every root is open (both classes
-    among at least 2 rows) or none is: ``fit_tree`` grows one root, and
-    ``stratified_split`` puts both classes in every train set.
-    ``presorted``, if given, is ``_sort_columns``' output for these
-    columns and rows with the labels as codes, in fresh arrays: they are
+    ``labels``, one split per row, all of one size) on the same row of the
+    (trees x k) column ``grid``, all trees one level per step.  Either
+    every root is open (both classes among at least 2 rows) or none is:
+    ``fit_tree`` grows one root, and ``stratified_split`` puts both classes
+    in every train set.  ``presorted``, if given, is ``_sort_columns``'
+    output for ``grid.T`` and these rows, in fresh arrays: they are
     overwritten.
 
     The open nodes of a level lie side by side: in every column's row
@@ -280,46 +298,41 @@ def _grow(
     are written for all levels at once, after the last.
     """
     n_splits, n = train.shape
-    k = len(columns)
+    k = grid.shape[1]
     rows = train.ravel()  # stacked row -> row of values
-    y = labels.take(rows)
     table = _table_for(n) if n <= GINI_TABLE_MAX_ROWS else None
     stride = 0 if table is None else n + 1
-    width = max(1, _BLOCK // n_splits)  # columns per block: at most _BLOCK (column, split) pairs
-
-    capacity = n_splits * max(2 * n - 1, 1)  # a tree on n rows has at most 2n - 1 nodes
-    feature = np.full(capacity, -1, dtype=np.intp)
-    threshold = np.full(capacity, np.inf)
-    left = np.arange(capacity)
-    prediction = np.zeros(capacity, dtype=np.intp)
-    size = np.full(n_splits, n)
-    ones = y.reshape(n_splits, n).sum(axis=1)
-    prediction[:n_splits] = ones > size - ones
+    width = max(1, _BLOCK // n_splits)  # columns per block: at most _BLOCK (column, tree) pairs
+    # Positions, cuts, flat (column, position) indices and code sums stay
+    # below max(k, stride + 1) * stacked rows: int32 where that fits.
+    index = np.int32 if max(k, stride + 1) * len(rows) < 2**31 else np.intp
+    y = labels.take(rows).astype(index)
+    size = np.full(n_splits, n, dtype=index)
+    ones = y.reshape(n_splits, n).sum(axis=1, dtype=index)
+    root_prediction = (ones > size - ones).astype(np.intp)
     if k == 0 or not _is_open(size, ones).any():
-        return _Forest(feature[:n_splits], threshold[:n_splits], left[:n_splits], prediction[:n_splits], 0)
+        leaves = np.arange(n_splits)
+        return _Forest(np.full(n_splits, -1), np.full(n_splits, np.inf), leaves, root_prediction, 0)
 
     values = np.ascontiguousarray(values)  # cells are read by flat index
     # Codes are label + ``stride``: a node's running sum over its first
     # ``i`` rows is ``i * stride + ones``, the flat table index of a left
-    # child of ``i`` rows (with ``stride`` 0, the ones).  Sums widen to int64.
-    if presorted is None:
-        buffers = _sort_columns(values, rows, (y + stride).astype(np.int16), columns, n_splits, width)
-    else:
-        buffers = presorted
-        np.add(buffers[2], stride, out=buffers[2])
-    # a level's (k x positions) grids of row ids, ranks and codes sit at the buffers' front
+    # child of ``i`` rows (with ``stride`` 0, the ones).
+    code = y + stride
+    buffers = _sort_columns(values, rows, grid.T, n, width) if presorted is None else presorted
+    # a level's (k x positions) tables of row ids and ranks sit at the buffers' front
     side = np.zeros(len(rows), dtype=np.int8)  # per stacked row: 0 left, 1 right, 2 closed
     node = np.arange(n_splits)  # node ids of the open nodes, in layout order
     n_nodes = n_splits
     levels = []  # per level: nodes, winning columns, cut rows, child sizes and ones, splits
 
     while len(node):
-        positions = np.arange(size.sum())
-        order, ranks, codes = (b[: k * len(positions)].reshape(k, -1) for b in buffers)
-        starts = size.cumsum() - size
-        node_of = np.repeat(np.arange(len(node)), size)  # node of each position
+        positions = np.arange(size.sum(), dtype=index)
+        order, ranks = (b[: k * len(positions)].reshape(k, -1) for b in buffers)
+        starts = size.cumsum(dtype=index) - size
+        node_of = np.repeat(np.arange(len(node), dtype=index), size)  # node of each position
         best, best_column, best_cut = _best_cuts(
-            codes, ranks, size, starts, node_of, size * stride + ones, table, width
+            code, order, ranks, size, starts, node_of, size * stride + ones, table, width
         )
         splits = best < np.inf  # the others are constant on every column: leaves
         if not splits.any():
@@ -343,24 +356,31 @@ def _grow(
         node = (first_child + _SIDES)[child_open]
         size, ones = child_size[child_open], child_ones[child_open]
 
+    # the node arrays, written once: roots first, then children in id order
+    feature = np.full(n_nodes, -1, dtype=np.intp)
+    threshold = np.full(n_nodes, np.inf)
+    left = np.arange(n_nodes)
+    prediction = np.zeros(n_nodes, dtype=np.intp)
+    prediction[:n_splits] = root_prediction
     if levels:
         node, winning, pair, child_size, child_ones, splits = (
             np.concatenate(part, axis=-1) for part in zip(*levels)
         )
         parents = node[splits]
-        column = columns.take(winning[splits])
+        pair = pair[:, splits]
+        column = grid[pair[0] // n, winning[splits]]  # the cut's tree picks its grid row
         feature[parents] = column
         left[parents] = np.arange(n_splits, n_nodes, 2)
         # the values on either side of each cut
-        below, above = values.take(rows.take(pair[:, splits]) * values.shape[1] + column)
+        below, above = values.take(rows.take(pair) * values.shape[1] + column)
         with np.errstate(over="ignore"):
             midpoint = (below + above) / 2.0
         # where the midpoint rounded onto `above` (or overflowed), `below`
         # still separates the two values under `<=`
         threshold[parents] = np.where((below <= midpoint) & (midpoint < above), midpoint, below)
         child_ones, child_size = child_ones[:, splits], child_size[:, splits]
-        prediction[n_splits:n_nodes] = (child_ones > child_size - child_ones).T.ravel()
-    return _Forest(feature[:n_nodes], threshold[:n_nodes], left[:n_nodes], prediction[:n_nodes], len(levels))
+        prediction[n_splits:] = (child_ones > child_size - child_ones).T.ravel()
+    return _Forest(feature, threshold, left, prediction, len(levels))
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray) -> TreeNode:
@@ -371,7 +391,7 @@ def fit_tree(x: np.ndarray, y: np.ndarray) -> TreeNode:
         raise ValueError("x must be 2-D with one row per label")
     if y.min(initial=0) < 0 or y.max(initial=0) > 1:
         raise ValueError("y must be coded 0/1")
-    forest = _grow(x, y, np.arange(x.shape[1]), np.arange(len(y))[None])
+    forest = _grow(x, y, np.arange(x.shape[1])[None], np.arange(len(y))[None])
     feature, threshold, left = forest.feature.tolist(), forest.threshold.tolist(), forest.left.tolist()
     nodes = [_LEAVES[p] for p in forest.prediction.tolist()]
     for u in range(len(nodes) - 1, -1, -1):  # children have higher ids than their parent
@@ -465,21 +485,32 @@ def _route(forest: _Forest, values: np.ndarray, test: np.ndarray) -> np.ndarray:
     return forest.prediction[node].reshape(test.shape)
 
 
+def _subset_grid(subsets, m: int) -> np.ndarray:
+    """The (subsets x k) column ids of equal-length subsets of ``m`` columns."""
+    try:
+        grid = np.asarray(subsets)
+    except ValueError:  # ragged
+        raise ValueError("the subsets of a batch must all have the same length") from None
+    if grid.ndim != 2 or grid.size and not (grid.dtype.kind in "iu" and 0 <= grid.min() <= grid.max() < m):
+        raise ValueError(f"features must be 1-D integer column indices in 0..{m - 1}")
+    return grid.astype(np.intp, copy=False)
+
+
 class Evaluator:
     """The repeated-holdout protocol of one run: its split plans, built
-    once (split k has seed ``base_seed + k``), and the sort of each column
+    once (split k has seed ``base_seed + k``), the sort of each column
     under every train split, made the first time a narrow subset asks for
-    the column and kept.
+    the column and kept, and the counts ``stage`` scored and
+    ``evaluate_subset`` has not yet collected.
 
     The sort tables are ``_sort_columns``' output, one row of
-    ``n_splits * n_train`` stacked row ids, ranks and labels per column,
+    ``n_splits * n_train`` stacked row ids and ranks per column,
     in the order the columns were first asked for; each sort appends its
-    rows, so only columns in use are held.
-    ``evaluate_subset`` reads them only when one group grows every split
-    (``len(features) * n_splits <= _BLOCK``), so a gather copies at most
-    ``_BLOCK * n_train`` cells of each; wider subsets sort their own
-    columns and keep nothing.  An evaluator serves only the data and split
-    settings it was built from: ``check`` raises ``ValueError`` on others.
+    rows, so only columns in use are held.  Only narrow subsets
+    (``len(features) * n_splits <= _BLOCK``) read them; wider subsets sort
+    their own columns and keep nothing.  An evaluator serves only the data
+    and split settings it was built from: ``check`` raises ``ValueError``
+    on others.
     """
 
     def __init__(
@@ -495,6 +526,8 @@ class Evaluator:
         self.test_labels = labels.labels[self.test]
         self.slot = np.full(matrix.m, -1, dtype=np.intp)  # column -> table row, -1 not yet sorted
         self.tables: tuple[np.ndarray, ...] = ()
+        # column tuple -> per-split [TN, FP, FN, TP], held until collected
+        self.staged: dict[tuple[int, ...], list[list[int]]] = {}
 
     def check(self, matrix: FeatureMatrix, labels: LabelVector, **settings) -> None:
         """Raise ``ValueError`` unless a call names the data and split
@@ -507,23 +540,64 @@ class Evaluator:
         if matrix.values is not self.values and not np.array_equal(matrix.values, self.values):
             raise ValueError("evaluator was built for another feature matrix")
 
-    def sorted_columns(self, features: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``_sort_columns``' flat buffers for ``features``, as fresh
-        arrays; columns not asked for before are sorted first and kept."""
-        slots = self.slot.take(features)
+    def stage(self, subsets) -> None:
+        """Score a batch of equal-length subsets (column ids, in order) and
+        hold each one's per-split counts, keyed by its column tuple, until
+        ``evaluate_subset`` collects them.
+
+        Narrow subsets grow as forests of ``max(1, _BLOCK // (2 *
+        n_splits))`` subsets: a forest's trees fill a pass of two columns,
+        so a pass holds at most ``_BLOCK`` (column, tree) pairs and a
+        forest's level-wide arrays stay small.  Wider subsets grow one at a
+        time.
+        """
+        grid = _subset_grid(subsets, len(self.slot))
+        n_splits, k = len(self.train), grid.shape[1]
+        if k and k * n_splits <= _BLOCK:
+            chunk = max(1, _BLOCK // (2 * n_splits))
+            parts = (self._together(grid[start : start + chunk]) for start in range(0, len(grid), chunk))
+            counts = [held for part in parts for held in part]
+        else:
+            counts = [self._alone(features) for features in grid]
+        self.staged.update(zip(map(tuple, grid.tolist()), counts))
+
+    def _together(self, grid: np.ndarray) -> list[list[list[int]]]:
+        """Per-split counts of narrow subsets, grown as one forest: the
+        kept tables' rows of each subset's columns, gathered straight into
+        (column, subset, stacked row) order, with subset b's stacked rows
+        offset by ``b * n_splits * n_train``."""
+        slots = self.slot.take(grid)
         if (slots < 0).any():
-            self._keep(np.unique(features[slots < 0]))
-            slots = self.slot.take(features)
-        return tuple(table.take(slots, axis=0).ravel() for table in self.tables)
+            self._keep(np.unique(grid[slots < 0]))
+            slots = self.slot.take(grid)
+        batch, (n_splits, n) = len(grid), self.train.shape
+        order, ranks = (table.take(slots.T, axis=0) for table in self.tables)
+        order += np.arange(0, batch * n_splits * n, n_splits * n, dtype=order.dtype)[:, None]
+        forest = _grow(
+            self.values, self.labels, grid.repeat(n_splits, axis=0), np.tile(self.train, (batch, 1)),
+            (order.ravel(), ranks.ravel()),
+        )
+        predicted = _route(forest, self.values, np.tile(self.test, (batch, 1)))
+        counts = _confusion_rows(np.tile(self.test_labels, (batch, 1)), predicted)
+        return [counts[b : b + n_splits] for b in range(0, len(counts), n_splits)]
+
+    def _alone(self, features: np.ndarray) -> list[list[int]]:
+        """Per-split counts of one subset, ``max(1, _BLOCK // k)`` splits
+        per forest, each forest sorting its own columns."""
+        group = max(1, _BLOCK // max(len(features), 1))
+        predicted = []
+        for k in range(0, len(self.train), group):
+            train = self.train[k : k + group]
+            columns = np.broadcast_to(features, (len(train), len(features)))  # the same in every tree
+            forest = _grow(self.values, self.labels, columns, train)
+            predicted.append(_route(forest, self.values, self.test[k : k + group]))
+        return _confusion_rows(self.test_labels, np.concatenate(predicted))
 
     def _keep(self, columns: np.ndarray) -> None:
         """Sort distinct, not yet sorted ``columns`` and append their tables."""
-        n_splits = self.settings["n_splits"]
-        rows = self.train.ravel()
-        new = _sort_columns(
-            np.ascontiguousarray(self.values), rows, self.labels.take(rows).astype(np.int16), columns,
-            n_splits, max(1, _BLOCK // n_splits),
-        )
+        n_splits, n = self.train.shape
+        values = np.ascontiguousarray(self.values)
+        new = _sort_columns(values, self.train.ravel(), columns[:, None], n, max(1, _BLOCK // n_splits))
         self.slot[columns] = self.slot.max() + 1 + np.arange(len(columns))
         new = tuple(table.reshape(len(columns), -1) for table in new)
         self.tables = tuple(map(np.concatenate, zip(self.tables, new))) if self.tables else new
@@ -541,31 +615,21 @@ def evaluate_subset(
     """Mean test accuracy of a feature subset over seeded repeated splits.
 
     Split k uses seed ``base_seed + k``, so the same arguments always yield
-    the same value; this is the fitness the optimizer maximizes.  The
-    trees of ``max(1, _BLOCK // len(features))`` splits grow together.
+    the same value; this is the fitness the optimizer maximizes.
     ``evaluator``, an ``Evaluator`` built for these arguments, lends the
-    split plans and column sorts of earlier calls; without it a one-off
-    evaluator is built.  The result is the same either way.
+    split plans and column sorts of earlier calls, and the counts its
+    ``stage`` scored for these features, which this call collects; without
+    it a one-off evaluator is built.  The result is the same either way.
     """
-    features = np.asarray(features)
-    if features.ndim != 1 or features.size and not (
-        features.dtype.kind in "iu" and 0 <= features.min() <= features.max() < matrix.m
-    ):
-        raise ValueError(f"features must be 1-D integer column indices in 0..{matrix.m - 1}")
-    features = features.astype(np.intp, copy=False)
+    (features,) = _subset_grid(np.asarray(features)[None], matrix.m)
     if evaluator is None:
         evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
     else:
         evaluator.check(matrix, labels, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed)
-    presorted = None
-    if len(features) * n_splits <= _BLOCK:  # one group grows every split
-        presorted = evaluator.sorted_columns(features)  # at most _BLOCK x n_train cells per table
-    group = max(1, _BLOCK // max(len(features), 1))
-    predicted = []
-    for k in range(0, n_splits, group):
-        forest = _grow(matrix.values, labels.labels, features, evaluator.train[k : k + group], presorted)
-        predicted.append(_route(forest, matrix.values, evaluator.test[k : k + group]))
-    counts = _confusion_rows(evaluator.test_labels, np.concatenate(predicted))
+    key = tuple(features.tolist())
+    if key not in evaluator.staged:
+        evaluator.stage(features[None])
+    counts = evaluator.staged.pop(key)
     per_split = [ClassificationMetrics.from_counts(tp, tn, fp, fn) for tn, fp, fn, tp in counts]
     mean_overall = float(np.mean([m.overall for m in per_split]))
     return mean_overall, per_split

@@ -11,6 +11,14 @@ the whole population is mutated each iteration.  An improvement resets
 ``s`` to 0, and with it both rates.  The search stops once ``s`` reaches
 the stagnation limit.
 
+Fitness is scored a generation at a time.  Parents come from the current
+population only, so every child of a generation (the initial population
+too) is drawn before any is scored; the generation's distinct subsets not
+yet cached then go, in the order they were first spawned, to one call of
+the batch ``fitness_fn``, and the individuals are built from the cache
+after it.  Fitness draws no random numbers, so the draws, the NFE and the
+convergence log are those of scoring each child as it is drawn.
+
 The convergence log's columns are ``IterationRecord``'s fields, in order
 (``CONVERGENCE_COLUMNS``); ``write_convergence_csv`` writes each record's
 values as they stand, floats by ``repr`` and flags as 0/1.
@@ -139,21 +147,29 @@ def point_mutation(
     return out
 
 
+def per_subset(fitness: Callable[[tuple[int, ...]], float]) -> Callable[[list[tuple[int, ...]]], list[float]]:
+    """A batch ``fitness_fn`` that scores each subset of a batch with
+    ``fitness``, in order."""
+    return lambda keys: [fitness(key) for key in keys]
+
+
 class SubsetOptimizer:
     """Runs the adaptive search over a candidate pool.
 
-    ``fitness_fn`` maps a tuple of feature indices to a score to maximize;
-    results are cached by the sorted gene tuple, and the evaluation count
-    (NFE) only grows on cache misses.  The population is sorted by fitness
-    alone; the sort is stable and offspring are appended in creation order,
-    so equal fitness keeps the older individual first.
+    ``fitness_fn`` scores a batch: it maps a list of sorted gene tuples to
+    a list of scores to maximize, one per tuple (``per_subset`` makes one
+    from a function of one tuple).  Results are cached by the sorted gene
+    tuple, and the evaluation count (NFE) only grows on cache misses.  The
+    population is sorted by fitness alone; the sort is stable and offspring
+    are appended in creation order, so equal fitness keeps the older
+    individual first.
     """
 
     def __init__(
         self,
         space: Sequence[int],
         n_var: int,
-        fitness_fn: Callable[[tuple[int, ...]], float],
+        fitness_fn: Callable[[list[tuple[int, ...]]], list[float]],
         seed: int,
         n_pop: int = 20,
         stagnation_limit: int = 30,
@@ -183,17 +199,26 @@ class SubsetOptimizer:
 
     def _spawn(self, genes: Sequence[int]) -> Individual:
         genes = tuple(int(g) for g in genes)
-        key = tuple(sorted(genes))
-        if key not in self._cache:
-            self._cache[key] = float(self.fitness_fn(key))
-        return Individual(genes, self._cache[key])
+        return Individual(genes, self._cache[tuple(sorted(genes))])
+
+    def _generation(self, children: list[Sequence[int]]) -> list[Individual]:
+        """Score a generation's distinct cache misses, in first-spawn
+        order, in one ``fitness_fn`` call (none if every child is cached),
+        then spawn the children in order."""
+        keys = (tuple(sorted(int(g) for g in genes)) for genes in children)
+        misses = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        if misses:
+            scores = list(self.fitness_fn(misses))
+            if len(scores) != len(misses):
+                raise ValueError(f"fitness_fn returned {len(scores)} scores for {len(misses)} subsets")
+            self._cache.update(zip(misses, map(float, scores)))
+        return [self._spawn(genes) for genes in children]
 
     def run(self) -> GAResult:
         rng = self.rng
-        population = [
-            self._spawn(rng.choice(self.space, size=self.n_var, replace=False))
-            for _ in range(self.n_pop)
-        ]
+        population = self._generation(
+            [rng.choice(self.space, size=self.n_var, replace=False) for _ in range(self.n_pop)]
+        )
         population.sort(key=lambda ind: -ind.fitness)
         best = population[0].fitness
 
@@ -204,16 +229,18 @@ class SubsetOptimizer:
             iteration += 1
             pc, pm, n_c, n_m = rate_schedule(stagnant, self.n_pop)
 
+            # parents come from the current population only, so every
+            # child can be drawn before any is scored
             weights = np.array([ind.fitness for ind in population], dtype=float)
-            offspring: list[Individual] = []
+            children: list[list[int]] = []
             for _ in range(n_c // 2):
                 first = population[roulette_spin(weights, rng)]
                 second = population[roulette_spin(weights, rng)]
-                for child in single_point_crossover(first.genes, second.genes, self.space, rng):
-                    offspring.append(self._spawn(child))
+                children.extend(single_point_crossover(first.genes, second.genes, self.space, rng))
             for _ in range(n_m):
                 parent = population[roulette_spin(weights, rng)]
-                offspring.append(self._spawn(point_mutation(parent.genes, self.space, rng)))
+                children.append(point_mutation(parent.genes, self.space, rng))
+            offspring = self._generation(children)
 
             merged = sorted(population + offspring, key=lambda ind: -ind.fitness)
             population = merged[: self.n_pop]

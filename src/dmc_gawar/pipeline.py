@@ -153,18 +153,28 @@ def search(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, stages: Stages, evaluator: Evaluator
 ) -> GAResult:
     """Search the pool for the subset of best mean holdout accuracy; every
-    fitness call goes through the run's ``evaluator``."""
+    fitness call goes through the run's ``evaluator``, which scores a
+    generation's new subsets as one batch before each is collected."""
     if matrix.m < 2:  # the pool must be larger than the subset
         raise DataError(f"the subset search needs at least 2 features, the data has {matrix.m}")
     return SubsetOptimizer(
         stages.space,
         stages.n_var,
-        lambda genes: evaluate(matrix, labels, config, genes, evaluator)[0],
+        lambda batch: [fitness for fitness, _ in _scores(matrix, labels, config, batch, evaluator)],
         seed=config.seed + SEED_GA,
         n_pop=config.n_pop,
         stagnation_limit=config.stagnation_limit,
         max_iterations=config.max_iterations,
     ).run()
+
+
+def _scores(
+    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, batch, evaluator: Evaluator
+) -> list[tuple[float, list[ClassificationMetrics]]]:
+    """``evaluate`` of each subset of a batch, in order, after the
+    evaluator has scored them all in one go."""
+    evaluator.stage(batch)
+    return [evaluate(matrix, labels, config, features, evaluator) for features in batch]
 
 
 def run_pipeline(
@@ -239,12 +249,14 @@ def random_baseline(
         raise ValueError("n_runs must be at least 1")
     stages = build_stages(matrix, labels, config)
     evaluator = build_evaluator(matrix, labels, config)
-    runs = []
+    draws = []
     for i in range(n_runs):
         rng = np.random.default_rng(config.seed + SEED_BASELINE + i)
-        genes = np.sort(rng.choice(stages.space, size=stages.n_var, replace=False))
-        _, splits = evaluate(matrix, labels, config, genes, evaluator)
-        runs.append(BaselineRun(tuple(int(g) for g in genes), mean_metrics(splits)))
+        draws.append(tuple(sorted(rng.choice(stages.space, size=stages.n_var, replace=False).tolist())))
+    runs = [
+        BaselineRun(genes, mean_metrics(splits))
+        for genes, (_, splits) in zip(draws, _scores(matrix, labels, config, draws, evaluator))
+    ]
     scores = [r.metrics for r in runs]
     return BaselineResult(tuple(runs), metric_stat(scores), metric_stat(scores, np.std))
 

@@ -12,7 +12,7 @@ import pytest
 
 from dmc_gawar.classifier import ClassificationMetrics
 from dmc_gawar.data import load_csv
-from dmc_gawar.ga import SubsetOptimizer
+from dmc_gawar.ga import SubsetOptimizer, per_subset
 from dmc_gawar.pipeline import PipelineConfig, run_pipeline
 from dmc_gawar.rankers import dmc_score, mc_score, rank_all, score_features
 from dmc_gawar.synthetic import make_planted
@@ -89,7 +89,7 @@ def test_criterion_03_scores_match_oracle_and_rank_separable_first():
 def test_criterion_04_adaptive_rate_schedule():
     # stagnant run: the published schedule, then stop after exactly 30
     result = SubsetOptimizer(
-        range(30), 5, lambda g: 1.0, seed=0, n_pop=20, stagnation_limit=30
+        range(30), 5, per_subset(lambda g: 1.0), seed=0, n_pop=20, stagnation_limit=30
     ).run()
     assert result.n_iterations == 30
     in_force = [(r.p_c, r.p_m, r.n_c, r.n_m) for r in result.history]
@@ -106,7 +106,7 @@ def test_criterion_04_adaptive_rate_schedule():
     result = SubsetOptimizer(
         list(range(100)),
         10,
-        lambda genes: len(set(genes) & planted) / 10.0,
+        per_subset(lambda genes: len(set(genes) & planted) / 10.0),
         seed=1,
         n_pop=20,
         stagnation_limit=30,
@@ -135,7 +135,7 @@ def test_criterion_05_search_invariants_twenty_runs():
             return len(set(genes) & planted) / 8.0
 
         result = SubsetOptimizer(
-            space, 8, fitness, seed=seed, n_pop=12, stagnation_limit=10
+            space, 8, per_subset(fitness), seed=seed, n_pop=12, stagnation_limit=10
         ).run()
         assert len(result.best_genes) == 8
         assert len(set(result.best_genes)) == 8
@@ -160,7 +160,7 @@ def test_criterion_06_planted_optimum_recovery():
         return len(set(genes) & planted) / 10.0
 
     best_scores = [
-        SubsetOptimizer(pool, 10, fitness, seed=s, n_pop=20, stagnation_limit=30)
+        SubsetOptimizer(pool, 10, per_subset(fitness), seed=s, n_pop=20, stagnation_limit=30)
         .run()
         .best_fitness
         for s in range(5)
@@ -216,7 +216,7 @@ def test_criterion_08_selection_improves_on_matched_shape_synthetic():
 @criterion(9, "reported search-space size equals C(100, 10)")
 def test_criterion_09_search_space_size_anchor():
     result = SubsetOptimizer(
-        range(100), 10, lambda g: 0.0, seed=0, n_pop=6, stagnation_limit=2
+        range(100), 10, per_subset(lambda g: 0.0), seed=0, n_pop=6, stagnation_limit=2
     ).run()
     assert result.search_space_size == 17310309456440
     assert result.search_space_size == math.comb(100, 10)

@@ -69,6 +69,32 @@ def evaluation_problems(draw):
     return matrix, labels, np.array(features), n_splits, test_fraction, base_seed, block
 
 
+@st.composite
+def batch_problems(draw):
+    """(matrix, labels, subsets, warm columns, n_splits, test fraction,
+    base seed, block) on ``tie_heavy_arrays`` data: equal-length subsets
+    whose columns may repeat within and across subsets, one of them
+    possibly listed twice, and columns to sort before the batch."""
+    n = draw(st.integers(10, 60))
+    m = draw(st.integers(1, 8))
+    top = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = tie_heavy_arrays(rng, n, m, top)
+    y[:10] = [0, 1] * 5
+    k = draw(st.integers(1, 4))
+    subsets = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=k, max_size=k), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        subsets.append(subsets[draw(st.integers(0, len(subsets) - 1))])
+    warm = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+    n_splits = draw(st.integers(1, 6))
+    test_fraction = draw(st.sampled_from([0.2, 0.25, 1 / 3, 0.5]))
+    base_seed = draw(st.integers(0, 1000))
+    block = draw(st.integers(1, 7))
+    matrix = FeatureMatrix(x, tuple(f"f{j}" for j in range(m)))
+    labels = LabelVector(y, ("a", "b"))
+    return matrix, labels, subsets, warm, n_splits, test_fraction, base_seed, block
+
+
 class TestTree:
     def test_simple_threshold(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -339,7 +365,7 @@ class TestEvaluate:
                 patch.setattr(classifier, "_BLOCK", size)
                 fresh, warmed = (Evaluator(matrix, labels, n_splits, test_fraction, base_seed) for _ in "ab")
                 for column in warm:
-                    warmed.sorted_columns(np.array([column]))
+                    warmed.stage(np.array([[column]]))
                 for evaluator in (fresh, warmed):
                     scored.append(evaluate_subset(
                         matrix, labels, features, n_splits, test_fraction, base_seed, evaluator=evaluator
@@ -470,3 +496,55 @@ class TestEvaluate:
         matrix, labels = random_dataset(6, 6, 4, seed=0)
         with pytest.raises(ValueError):
             evaluate_subset(matrix, labels, np.arange(4), n_splits=0)
+
+
+class TestBatch:
+    @given(batch_problems())
+    def test_staged_counts_match_one_off_calls_and_the_oracle(self, problem):
+        # blocks of 1-7 (column, tree) pairs split a batch over several
+        # forests and a forest's columns over several passes; the warm
+        # columns sit at scattered table rows before the batch asks for them
+        matrix, labels, subsets, warm, n_splits, test_fraction, base_seed, block = problem
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", 40)
+            patch.setattr(classifier, "_BLOCK", block)
+            evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
+            evaluator.stage(np.array(warm, dtype=int)[:, None])
+            evaluator.staged.clear()
+            evaluator.stage(subsets)
+            staged = dict(evaluator.staged)
+            one_off = {
+                key: evaluate_subset(matrix, labels, np.array(key), n_splits, test_fraction, base_seed)[1]
+                for key in staged
+            }
+        assert set(staged) == set(map(tuple, subsets))
+        x, y = matrix.values, labels.labels
+        plans = [stratified_split(labels, test_fraction, base_seed + s) for s in range(n_splits)]
+        for key, counts in staged.items():
+            per_split = [ClassificationMetrics.from_counts(tp, tn, fp, fn) for tn, fp, fn, tp in counts]
+            assert per_split == one_off[key]
+            assert len(counts) == n_splits
+            columns = list(key)
+            for (tn, fp, fn, tp), plan in zip(counts, plans):
+                train, test = list(plan.train_indices), list(plan.test_indices)
+                tree = oracle_fit_tree(x[train][:, columns], y[train])
+                predicted = oracle_predict(tree, x[test][:, columns])
+                assert (tp, tn, fp, fn) == confusion_counts(y[test], predicted)
+
+    def test_evaluate_subset_collects_what_stage_held(self):
+        ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
+        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.2, base_seed=7)
+        evaluator.stage([(3, 1, 4), (1, 5, 9)])
+        assert set(evaluator.staged) == {(3, 1, 4), (1, 5, 9)}
+        got = evaluate_subset(ds.matrix, ds.labels, (1, 5, 9), 4, 0.2, 7, evaluator=evaluator)
+        assert set(evaluator.staged) == {(3, 1, 4)}
+        assert got == evaluate_subset(ds.matrix, ds.labels, np.array([1, 5, 9]), 4, 0.2, 7)
+
+    def test_subsets_of_different_lengths_are_rejected(self):
+        ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
+        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.2, base_seed=7)
+        with pytest.raises(ValueError, match="same length"):
+            evaluator.stage([(3, 1, 4), (1, 5)])
+        with pytest.raises(ValueError, match=r"column indices in 0\.\.19"):
+            evaluator.stage([(3, 1, 4), (1, 5, 20)])
+        assert evaluator.staged == {}

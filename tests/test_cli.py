@@ -63,6 +63,19 @@ class TestSubcommands:
         header = conv.read_text().splitlines()[0]
         assert header == "iteration,best_fitness,p_c,p_m,n_c,n_m,adapted,full_mutation,nfe_cumulative"
 
+    def test_optimize_collects_every_count_it_staged(self, capsys, data_csv, monkeypatch):
+        built, build = [], cli.build_evaluator
+
+        def building(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_evaluator", building)
+        code, report = run_cli(capsys, "optimize", data_csv, *FAST)
+        assert code == EXIT_OK
+        (evaluator,) = built
+        assert evaluator.staged == {}
+
     def test_evaluate_all_features(self, capsys, data_csv):
         code, report = run_cli(capsys, "evaluate", data_csv, "--n-splits", "3")
         assert code == EXIT_OK

@@ -14,6 +14,7 @@ from dmc_gawar.ga import (
     ADAPT_PATIENCE,
     CONVERGENCE_COLUMNS,
     SubsetOptimizer,
+    per_subset,
     point_mutation,
     rate_schedule,
     repair_duplicates,
@@ -154,7 +155,7 @@ def count_spawns(history, n_pop):
 
 class TestSubsetOptimizer:
     def test_constant_fitness_runs_exactly_thirty_iterations(self):
-        opt = SubsetOptimizer(range(30), 5, lambda g: 1.0, seed=0, n_pop=20, stagnation_limit=30)
+        opt = SubsetOptimizer(range(30), 5, per_subset(lambda g: 1.0), seed=0, n_pop=20, stagnation_limit=30)
         result = opt.run()
         assert result.n_iterations == 30
         assert len(result.history) == 30
@@ -178,7 +179,9 @@ class TestSubsetOptimizer:
             calls.append(genes)
             return 0.5 if len(calls) <= 200 else 1.0
 
-        result = SubsetOptimizer(range(60), 5, fitness, seed=0, n_pop=20, stagnation_limit=30).run()
+        result = SubsetOptimizer(
+            range(60), 5, per_subset(fitness), seed=0, n_pop=20, stagnation_limit=30
+        ).run()
         history = result.history
         fits = [r.best_fitness for r in history]
         j = fits.index(1.0)  # the first improvement; the j iterations before it stagnated
@@ -198,14 +201,14 @@ class TestSubsetOptimizer:
             keys.append(genes)
             return 0.5
 
-        result = SubsetOptimizer(range(12), 4, fitness, seed=5, n_pop=6, stagnation_limit=7).run()
+        result = SubsetOptimizer(range(12), 4, per_subset(fitness), seed=5, n_pop=6, stagnation_limit=7).run()
         assert result.best_genes == keys[0]
 
     def test_gene_invariants_across_runs(self):
         space = list(range(40))
         for seed in range(20):
             result = SubsetOptimizer(
-                space, 6, lambda g: sum(g) / 300.0, seed=seed, n_pop=10, stagnation_limit=8
+                space, 6, per_subset(lambda g: sum(g) / 300.0), seed=seed, n_pop=10, stagnation_limit=8
             ).run()
             assert len(result.best_genes) == 6
             assert len(set(result.best_genes)) == 6
@@ -224,7 +227,7 @@ class TestSubsetOptimizer:
             return sum(genes) / 100.0
 
         result = SubsetOptimizer(
-            range(20), 4, fitness, seed=1, n_pop=8, stagnation_limit=6
+            range(20), 4, per_subset(fitness), seed=1, n_pop=8, stagnation_limit=6
         ).run()
         assert len(calls) == result.nfe
         assert len(set(calls)) == len(calls)  # keys are sorted tuples, no repeats
@@ -234,10 +237,10 @@ class TestSubsetOptimizer:
         def fitness(genes):
             return sum(genes) / 100.0
 
-        a = SubsetOptimizer(range(25), 4, fitness, seed=9, n_pop=8, stagnation_limit=6).run()
-        b = SubsetOptimizer(range(25), 4, fitness, seed=9, n_pop=8, stagnation_limit=6).run()
+        a = SubsetOptimizer(range(25), 4, per_subset(fitness), seed=9, n_pop=8, stagnation_limit=6).run()
+        b = SubsetOptimizer(range(25), 4, per_subset(fitness), seed=9, n_pop=8, stagnation_limit=6).run()
         assert a == b
-        c = SubsetOptimizer(range(25), 4, fitness, seed=10, n_pop=8, stagnation_limit=6).run()
+        c = SubsetOptimizer(range(25), 4, per_subset(fitness), seed=10, n_pop=8, stagnation_limit=6).run()
         assert a.history != c.history
 
     def test_fitness_sees_the_pinned_key_sequence(self):
@@ -249,40 +252,76 @@ class TestSubsetOptimizer:
             keys.append(genes)
             return sum(genes) / 100.0
 
-        result = SubsetOptimizer(range(25), 4, fitness, seed=9, n_pop=8, stagnation_limit=25).run()
+        result = SubsetOptimizer(
+            range(25), 4, per_subset(fitness), seed=9, n_pop=8, stagnation_limit=25
+        ).run()
         assert len(keys) == result.nfe == 176
         digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
         assert digest == "c1d15686a836e3055613a7d0a783760bcf42e0414373e3a4130191f6942d7cfd"
 
+    def test_fitness_scores_each_generations_new_subsets_in_one_call(self):
+        # one call for the initial population, then one per iteration that
+        # spawned an uncached subset; each call holds distinct, uncached
+        # keys in the order the generation first spawned them
+        batches = []
+        spawned = []
+
+        class Watched(SubsetOptimizer):
+            def _spawn(self, genes):
+                individual = super()._spawn(genes)
+                spawned.append(tuple(sorted(individual.genes)))
+                return individual
+
+        def fitness(keys):
+            batches.append(list(keys))
+            return [(sum(key) % 7) / 7.0 for key in keys]
+
+        result = Watched(range(14), 3, fitness, seed=4, n_pop=8, stagnation_limit=12).run()
+        nfe = [len(batches[0])] + [record.nfe_cumulative for record in result.history]
+        new = [after - before for before, after in zip(nfe, nfe[1:])]
+        assert 0 in new  # some generations only revisit cached subsets
+        assert [len(batch) for batch in batches[1:]] == [count for count in new if count]
+        scored = [key for batch in batches for key in batch]
+        assert len(scored) == len(set(scored)) == result.nfe
+        assert scored == list(dict.fromkeys(spawned))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_batch_of_the_wrong_length_is_rejected(self, extra):
+        def fitness(keys):
+            return [0.5] * (len(keys) + extra)
+
+        with pytest.raises(ValueError, match="scores for"):
+            SubsetOptimizer(range(10), 3, fitness, seed=0, n_pop=4, stagnation_limit=2).run()
+
     def test_finds_easy_optimum(self):
         space = list(range(30))
         result = SubsetOptimizer(
-            space, 3, lambda g: sum(g) / 84.0, seed=2, n_pop=12, stagnation_limit=15
+            space, 3, per_subset(lambda g: sum(g) / 84.0), seed=2, n_pop=12, stagnation_limit=15
         ).run()
         assert result.best_genes == (27, 28, 29)
         assert result.best_fitness == pytest.approx(1.0)
 
     def test_max_iterations_caps_run(self):
         result = SubsetOptimizer(
-            range(30), 5, lambda g: 1.0, seed=0, n_pop=10, stagnation_limit=50, max_iterations=7
+            range(30), 5, per_subset(lambda g: 1.0), seed=0, n_pop=10, stagnation_limit=50, max_iterations=7
         ).run()
         assert result.n_iterations == 7
 
     def test_search_space_size(self):
         result = SubsetOptimizer(
-            range(100), 10, lambda g: 0.0, seed=0, n_pop=6, stagnation_limit=2
+            range(100), 10, per_subset(lambda g: 0.0), seed=0, n_pop=6, stagnation_limit=2
         ).run()
         assert result.search_space_size == math.comb(100, 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SubsetOptimizer([1, 1, 2, 3], 2, lambda g: 0.0, seed=0)
+            SubsetOptimizer([1, 1, 2, 3], 2, per_subset(lambda g: 0.0), seed=0)
         with pytest.raises(ValueError):
-            SubsetOptimizer(range(5), 5, lambda g: 0.0, seed=0)
+            SubsetOptimizer(range(5), 5, per_subset(lambda g: 0.0), seed=0)
         with pytest.raises(ValueError):
-            SubsetOptimizer(range(5), 0, lambda g: 0.0, seed=0)
+            SubsetOptimizer(range(5), 0, per_subset(lambda g: 0.0), seed=0)
         with pytest.raises(ValueError):
-            SubsetOptimizer(range(5), 2, lambda g: 0.0, seed=0, n_pop=1)
+            SubsetOptimizer(range(5), 2, per_subset(lambda g: 0.0), seed=0, n_pop=1)
 
 
 @st.composite
@@ -337,7 +376,7 @@ class TestSearchInvariants:
             return fitness(key)
 
         with mock.patch.object(ga, "roulette_spin", spin):
-            result = Watched(pool, n_var, scoring, seed, n_pop, limit, cap).run()
+            result = Watched(pool, n_var, per_subset(scoring), seed, n_pop, limit, cap).run()
 
         assert set(selection_sizes) <= {n_pop}
         assert len(spawned) == count_spawns(result.history, n_pop)
@@ -365,7 +404,7 @@ class TestSearchInvariants:
 class TestConvergenceLog:
     def test_csv_round_trip(self, tmp_path):
         result = SubsetOptimizer(
-            range(20), 4, lambda g: sum(g) / 74.0, seed=3, n_pop=8, stagnation_limit=6
+            range(20), 4, per_subset(lambda g: sum(g) / 74.0), seed=3, n_pop=8, stagnation_limit=6
         ).run()
         path = tmp_path / "conv.csv"
         write_convergence_csv(result.history, path)

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dmc_gawar import classifier
+from dmc_gawar import classifier, pipeline
 from dmc_gawar.data import DataError, FeatureMatrix, stratified_split
 from dmc_gawar.pipeline import (
     SEED_EVAL,
@@ -190,6 +190,44 @@ class TestRunPipeline:
         a = run_pipeline(planted.matrix, planted.labels, SMALL)
         b = run_pipeline(planted.matrix, planted.labels, other)
         assert pipeline_report(a) != pipeline_report(b)
+
+
+@pytest.fixture
+def evaluators(monkeypatch):
+    """The evaluators ``build_evaluator`` hands out, and the size of every
+    batch they stage."""
+    built, batches = [], []
+    build, stage = pipeline.build_evaluator, classifier.Evaluator.stage
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def staging(self, subsets):
+        batches.append(len(subsets))
+        return stage(self, subsets)
+
+    monkeypatch.setattr(pipeline, "build_evaluator", building)
+    monkeypatch.setattr(classifier.Evaluator, "stage", staging)
+    return built, batches
+
+
+class TestStagedCounts:
+    def test_a_run_collects_every_count_it_staged(self, planted, evaluators):
+        built, batches = evaluators
+        result = run_pipeline(planted.matrix, planted.labels, SMALL)
+        (evaluator,) = built
+        assert evaluator.staged == {}
+        # one batch per generation with new subsets, then "before" and "after"
+        assert sum(batches[:-2]) == result.ga.nfe
+        assert batches[-2:] == [1, 1]
+
+    def test_the_baseline_scores_its_draws_in_one_batch(self, planted, evaluators):
+        built, batches = evaluators
+        random_baseline(planted.matrix, planted.labels, SMALL, n_runs=4)
+        (evaluator,) = built
+        assert evaluator.staged == {}
+        assert batches == [4]
 
 
 class TestExperiment:
