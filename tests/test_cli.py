@@ -71,7 +71,7 @@ class TestSubcommands:
             return built[-1]
 
         monkeypatch.setattr(cli, "build_evaluator", building)
-        code, report = run_cli(capsys, "optimize", data_csv, *FAST)
+        code, _ = run_cli(capsys, "optimize", data_csv, *FAST)
         assert code == EXIT_OK
         (evaluator,) = built
         assert evaluator.staged == {}
