@@ -66,9 +66,34 @@ few split plans, which its ``Evaluator`` builds once.  Its ``stage`` holds
 each subset's per-split confusion counts until ``evaluate_subset``
 collects them; ``evaluate_subset`` stages a subset nobody staged as a
 batch of one.  ``evaluate_subset`` without an evaluator builds a one-off
-evaluator; no plan, sort or count outlives its evaluator, and a batch's
-counts are those of one-off calls, so a result never depends on what was
-evaluated before or beside it.
+evaluator; no plan, sort, cut or count outlives its evaluator, and a
+batch's counts are those of one-off calls, so a result never depends on
+what was evaluated before or beside it.
+
+An evaluator also remembers best cuts (``_CutMemo``), because a search
+repeats most of its split work: a GA population converges on overlapping
+subsets, so the same node meets the same column again and again.  For
+each node of the top ``_MEMO_DEPTH`` levels and each column scored there
+it keeps two values: the column's lowest weighted Gini and the left size
+of its first cut at that value.  A node is named by its path, the root of
+split ``s`` and then one (parent, winning column, side) step per level.
+A node's cut on its winning column depends only on the node's rows and
+that column (RainForest, Gehrke, Ramakrishnan & Ganti, VLDB 1998: a
+node's best split on an attribute needs only that node's rows of the
+attribute), so a path fixes the node's rows and a kept value is exact
+wherever the node grows again.  At a kept level ``_grow`` looks up every
+(open node, grid column) pair and scores only the misses, each as a
+one-column segment, with the same ``_best_cuts``; a node's winner is its
+first column of lowest Gini, cut at that column's first cut of that
+value, the order of the per-node sweep, so every tree is unchanged.  In
+seeded colon-like searches (``make_planted(22, 40, 2000, 20, 1.2)``,
+seeds 42-44) only 1.2-1.3% of the root's scan work and 7.7-8.6% of level
+1's is new, and those two levels hold 60-70% of all scan work; 17-19% of
+level 2's and 34-50% of level 3's is new.  The gain rests on that
+repetition, about 86-89% of a colon-like search's scan work: ``fit_tree``,
+subsets too wide to batch and ``evaluate_subset`` without an evaluator
+(a one-off evaluation, such as the ``evaluate`` subcommand) repeat none
+and grow without the memo.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -271,6 +296,103 @@ def _best_cuts(
 # The two children of a parent, as rows of a (2 x parents) grid.
 _SIDES = np.array([[0], [1]], dtype=np.int8)
 
+# Levels of a fitness tree whose per-column best cuts an evaluator keeps.
+# Measured on the seeded colon-like search (make_planted(22, 40, 2000, 20,
+# 1.2), PipelineConfig(seed=7)), seeds 42 / 44: keeping 1, 2, 3 or 4
+# levels holds 0.02, 0.20 / 0.23, 0.59 / 0.78 or 1.00 / 1.39 MB of cuts
+# and raises the search's tracemalloc heap peak (2.65 / 2.67 MB without)
+# by 0.10, 0.28 / 0.23, 0.48 / 0.83 or 0.85 / 1.48 MB.  Search CPU time
+# at 2 and 3 levels was equal within the host's noise (each about 15-20%
+# below none), so 2 keeps the gain at a quarter of the memory.
+_MEMO_DEPTH = 2
+
+
+class _CutMemo:
+    """The best cut of each column at each node of an evaluator's trees,
+    for the top ``depth`` levels; tree ``t`` of a forest grows on split
+    ``t % n_splits``.
+
+    A node is named by its path: node ``s`` is the root of split ``s``, and
+    the child on ``side`` (0 left, 1 right) of node ``p`` cut on column
+    ``c`` is ``(p * m + c) * 2 + side``.  The parent's cut on its winning
+    column is that column's first cut of lowest weighted Gini, which
+    depends only on the parent's rows and the column, so a path fixes the
+    node's rows, and a value kept for a node holds wherever the node grows
+    again.  Per level, arrays sorted by key ``node * m + column`` hold the
+    column's lowest weighted Gini at the node (inf if the column is
+    constant there) and the left size of its first cut at that value; a
+    key past every key closes them, so a lookup never runs off the end.
+    """
+
+    def __init__(self, n_splits: int, m: int, n: int):
+        self.n_splits, self.m = n_splits, m
+        # the deepest keys, below n_splits * (2m)**(depth - 1) * m, must fit int64
+        self.depth = 0
+        while self.depth < _MEMO_DEPTH and n_splits * (2 * m) ** self.depth * m < 2**63:
+            self.depth += 1
+        end = (np.array([np.iinfo(np.int64).max]), np.full(1, np.inf), np.zeros(1, dtype=np.min_scalar_type(n)))
+        self.levels = [end] * self.depth  # per level: keys, Gini, left size
+
+    def best_cuts(self, level: int, keys: np.ndarray, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Gini, grid column, left size) of the winning cut of each open
+        node of ``level``; row ``i`` of ``keys`` holds the keys of node
+        ``i``'s grid columns.  ``score(node, column)`` gives the (Gini,
+        left size) of the pairs not yet kept, which are then kept.  A
+        node's winner is its first column of lowest Gini, cut at that
+        column's first cut of that value, as a per-node sweep picks it."""
+        held, gini, left = self.levels[level]
+        at = held.searchsorted(keys)
+        miss = held.take(at) != keys
+        if miss.any():
+            new, first = np.unique(keys[miss], return_index=True)
+            new_gini, new_left = score(*np.divmod(np.flatnonzero(miss).take(first), keys.shape[1]))
+            spot = held.searchsorted(new)
+            held, gini, left = self.levels[level] = (
+                np.insert(held, spot, new), np.insert(gini, spot, new_gini), np.insert(left, spot, new_left)
+            )
+            at = held.searchsorted(keys)
+        best_column = gini.take(at).argmin(axis=1)
+        won = np.take_along_axis(at, best_column[:, None], axis=1)[:, 0]
+        return gini.take(won), best_column, left.take(won)
+
+
+def _column_cuts(
+    code: np.ndarray,
+    order: np.ndarray,
+    ranks: np.ndarray,
+    size: np.ndarray,
+    starts: np.ndarray,
+    node_code: np.ndarray,
+    table: np.ndarray | None,
+    node: np.ndarray,
+    column: np.ndarray,
+    block: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weighted Gini, left size) of the best cut of each open node
+    ``node[i]`` on its grid column ``column[i]`` alone.  ``_best_cuts``
+    scores each pair as a one-column segment, the node's positions in the
+    column's row of ``order`` and ``ranks``, about ``block`` cells per call."""
+    size, node_code = size.take(node), node_code.take(node)
+    ends = size.cumsum()
+    bounds = [0, *(np.flatnonzero(np.diff((ends - 1) // block)) + 1).tolist(), len(node)]
+    gini, left = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        seg_size, seg_code = size[lo:hi], node_code[lo:hi]
+        cells = int(seg_size.sum())
+        # positions and code sums stay below the summed codes
+        index = np.int32 if max(cells, int(seg_code.sum(dtype=np.int64))) < 2**31 else np.intp
+        seg_size = seg_size.astype(index)
+        seg_start = seg_size.cumsum(dtype=index) - seg_size
+        take = np.repeat(column[lo:hi] * order.shape[1] + starts.take(node[lo:hi]) - seg_start, seg_size)
+        take += np.arange(cells, dtype=take.dtype)
+        lowest, _, cut = _best_cuts(
+            code, order.take(take)[None], ranks.take(take)[None], seg_size, seg_start,
+            np.repeat(np.arange(hi - lo, dtype=index), seg_size), seg_code, table, 1,
+        )
+        gini.append(lowest)
+        left.append(cut - seg_start + 1)
+    return np.concatenate(gini), np.concatenate(left)
+
 
 def _grow(
     values: np.ndarray,
@@ -278,6 +400,7 @@ def _grow(
     grid: np.ndarray,
     train: np.ndarray,
     presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    memo: _CutMemo | None = None,
 ) -> _Forest:
     """Grow one tree per row of ``train`` (row ids of ``values`` and
     ``labels``, one split per row, all of one size) on the same row of the
@@ -325,15 +448,30 @@ def _grow(
     node = np.arange(n_splits)  # node ids of the open nodes, in layout order
     n_nodes = n_splits
     levels = []  # per level: nodes, winning columns, cut rows, child sizes and ones, splits
+    # the memo's ids of the open nodes, while their level is kept
+    ids = None if memo is None or not memo.depth else np.arange(n_splits, dtype=np.int64) % memo.n_splits
+    level = 0
 
     while len(node):
         positions = np.arange(size.sum(), dtype=index)
         order, ranks = (b[: k * len(positions)].reshape(k, -1) for b in buffers)
         starts = size.cumsum(dtype=index) - size
         node_of = np.repeat(np.arange(len(node), dtype=index), size)  # node of each position
-        best, best_column, best_cut = _best_cuts(
-            code, order, ranks, size, starts, node_of, size * stride + ones, table, width
-        )
+        if ids is None:
+            best, best_column, best_cut = _best_cuts(
+                code, order, ranks, size, starts, node_of, size * stride + ones, table, width
+            )
+        else:
+            tree = order[0].take(starts) // n  # a node's first stacked row names its tree
+            best, best_column, left = memo.best_cuts(
+                level,
+                ids[:, None] * memo.m + grid.take(tree, axis=0),
+                lambda miss, column: _column_cuts(
+                    code, order, ranks, size, starts, size * stride + ones, table, miss, column,
+                    width * len(positions),
+                ),
+            )
+            best_column, best_cut = best_column.astype(index), starts + left - 1
         splits = best < np.inf  # the others are constant on every column: leaves
         if not splits.any():
             break
@@ -351,6 +489,11 @@ def _grow(
         first_child = n_nodes - 2 + 2 * splits.cumsum()
         n_nodes += 2 * int(np.count_nonzero(splits))
         child_open = _is_open(child_size, child_ones) & splits
+        level += 1
+        if ids is not None and level < memo.depth:
+            ids = ((ids * memo.m + grid[tree, best_column]) * 2 + _SIDES)[child_open]
+        else:
+            ids = None
         side[winner] = np.where(child_open, _SIDES, 2).take(goes_right * len(node) + node_of)
         _regroup(buffers, side, k, width, len(positions))
         node = (first_child + _SIDES)[child_open]
@@ -500,8 +643,10 @@ class Evaluator:
     """The repeated-holdout protocol of one run: its split plans, built
     once (split k has seed ``base_seed + k``), the sort of each column
     under every train split, made the first time a narrow subset asks for
-    the column and kept, and the counts ``stage`` scored and
-    ``evaluate_subset`` has not yet collected.
+    the column and kept, the best cuts its narrow subsets' trees found at
+    their top levels (``memo``; ``memo=False``, for a one-off call, keeps
+    none), and the counts ``stage`` scored and ``evaluate_subset`` has not
+    yet collected.
 
     The sort tables are ``_sort_columns``' output, one row of
     ``n_splits * n_train`` stacked row ids and ranks per column,
@@ -514,7 +659,8 @@ class Evaluator:
     """
 
     def __init__(
-        self, matrix: FeatureMatrix, labels: LabelVector, n_splits: int, test_fraction: float, base_seed: int
+        self, matrix: FeatureMatrix, labels: LabelVector, n_splits: int, test_fraction: float, base_seed: int,
+        memo: bool = True,
     ):
         if n_splits < 1:
             raise ValueError("n_splits must be at least 1")
@@ -528,6 +674,7 @@ class Evaluator:
         self.tables: tuple[np.ndarray, ...] = ()
         # column tuple -> per-split [TN, FP, FN, TP], held until collected
         self.staged: dict[tuple[int, ...], list[list[int]]] = {}
+        self.memo = _CutMemo(n_splits, matrix.m, self.train.shape[1]) if memo else None
 
     def check(self, matrix: FeatureMatrix, labels: LabelVector, **settings) -> None:
         """Raise ``ValueError`` unless a call names the data and split
@@ -575,7 +722,7 @@ class Evaluator:
         order += np.arange(0, batch * n_splits * n, n_splits * n, dtype=order.dtype)[:, None]
         forest = _grow(
             self.values, self.labels, grid.repeat(n_splits, axis=0), np.tile(self.train, (batch, 1)),
-            (order.ravel(), ranks.ravel()),
+            (order.ravel(), ranks.ravel()), self.memo,
         )
         predicted = _route(forest, self.values, np.tile(self.test, (batch, 1)))
         counts = _confusion_rows(np.tile(self.test_labels, (batch, 1)), predicted)
@@ -623,7 +770,7 @@ def evaluate_subset(
     """
     (features,) = _subset_grid(np.asarray(features)[None], matrix.m)
     if evaluator is None:
-        evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
+        evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed, memo=False)
     else:
         evaluator.check(matrix, labels, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed)
     key = tuple(features.tolist())

@@ -3,7 +3,8 @@
 Individuals are fixed-size sets of distinct feature indices drawn from a
 candidate pool.  Selection is fitness-proportional, crossover is single
 point with duplicate repair, mutation swaps one gene for an unused pool
-member.  The rates are a function of one count, ``s``, the consecutive
+member; both draw replacements from the pool's members in ascending
+order, a list the optimizer builds once per search.  The rates are a function of one count, ``s``, the consecutive
 iterations without improvement (``rate_schedule``): after ``s // 5``
 shifts the crossover rate is ``max(0.3, 0.9 - 0.2 * shifts)`` and the
 mutation rate ``0.4 + 0.2 * shifts``; once the mutation rate passes 1.0
@@ -104,8 +105,13 @@ def roulette_spin(weights: np.ndarray, rng: np.random.Generator) -> int:
 
 def repair_duplicates(genes: list[int], space: Sequence[int], rng: np.random.Generator) -> list[int]:
     """Replace repeated genes (after their first occurrence) with draws from
-    the unused pool members, kept sorted so the draw order is reproducible."""
-    unused = sorted(set(int(g) for g in space) - set(genes))
+    the unused pool members.  ``space`` lists the pool's distinct members
+    in ascending order, so the unused ones stay sorted and the draw order
+    is reproducible."""
+    taken = set(genes)
+    if len(taken) == len(genes):
+        return list(genes)
+    unused = [g for g in space if g not in taken]
     seen: set[int] = set()
     out = list(genes)
     for pos, gene in enumerate(out):
@@ -123,7 +129,8 @@ def single_point_crossover(
     rng: np.random.Generator,
 ) -> tuple[list[int], list[int]]:
     """Swap tails at one interior cut; both offspring are repaired to stay
-    duplicate free.  Length-1 parents pass through unchanged."""
+    duplicate free.  Length-1 parents pass through unchanged.  ``space``
+    lists the pool's distinct members in ascending order."""
     n_var = len(parent_a)
     if n_var < 2:
         return list(parent_a), list(parent_b)
@@ -136,8 +143,10 @@ def single_point_crossover(
 def point_mutation(
     genes: Sequence[int], space: Sequence[int], rng: np.random.Generator
 ) -> list[int]:
-    """Replace one gene (position drawn first) with an unused pool member."""
-    pool = sorted(set(int(g) for g in space) - set(genes))
+    """Replace one gene (position drawn first) with an unused pool member;
+    ``space`` lists the pool's distinct members in ascending order."""
+    taken = set(genes)
+    pool = [g for g in space if g not in taken]
     if not pool:
         raise ValueError("mutation needs at least one unused pool member")
     position = int(rng.integers(len(genes)))
@@ -185,6 +194,7 @@ class SubsetOptimizer:
         if n_pop < 2:
             raise ValueError("population size must be at least 2")
         self.space = space
+        self.pool = np.sort(space).tolist()  # ascending, as the operators draw from it
         self.n_var = n_var
         self.fitness_fn = fitness_fn
         self.rng = np.random.default_rng(seed)
@@ -236,10 +246,10 @@ class SubsetOptimizer:
             for _ in range(n_c // 2):
                 first = population[roulette_spin(weights, rng)]
                 second = population[roulette_spin(weights, rng)]
-                children.extend(single_point_crossover(first.genes, second.genes, self.space, rng))
+                children.extend(single_point_crossover(first.genes, second.genes, self.pool, rng))
             for _ in range(n_m):
                 parent = population[roulette_spin(weights, rng)]
-                children.append(point_mutation(parent.genes, self.space, rng))
+                children.append(point_mutation(parent.genes, self.pool, rng))
             offspring = self._generation(children)
 
             merged = sorted(population + offspring, key=lambda ind: -ind.fitness)

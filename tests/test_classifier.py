@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from dmc_gawar.classifier import (
     predict,
 )
 from dmc_gawar.data import FeatureMatrix, LabelVector, stratified_split
+from dmc_gawar.pipeline import PipelineConfig, build_evaluator, build_stages, search
 from dmc_gawar.synthetic import make_planted, make_xor
 from conftest import random_dataset
 from oracles import oracle_fit_tree, oracle_metrics, oracle_predict, oracle_weighted_gini
@@ -71,10 +74,12 @@ def evaluation_problems(draw):
 
 @st.composite
 def batch_problems(draw):
-    """(matrix, labels, subsets, warm columns, n_splits, test fraction,
-    base seed, block) on ``tie_heavy_arrays`` data: equal-length subsets
-    whose columns may repeat within and across subsets, one of them
-    possibly listed twice, and columns to sort before the batch."""
+    """(matrix, labels, batches, warm columns, n_splits, test fraction,
+    base seed, block, Gini table bound, memo depth) on
+    ``tie_heavy_arrays`` data: one to three batches of equal-length
+    subsets over at most 8 columns, so columns and whole subsets repeat
+    within and across batches, each batch possibly listing a subset
+    twice, and columns to sort before the first batch."""
     n = draw(st.integers(10, 60))
     m = draw(st.integers(1, 8))
     top = draw(st.integers(0, 4))
@@ -82,17 +87,22 @@ def batch_problems(draw):
     x, y = tie_heavy_arrays(rng, n, m, top)
     y[:10] = [0, 1] * 5
     k = draw(st.integers(1, 4))
-    subsets = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=k, max_size=k), min_size=1, max_size=8))
-    if draw(st.booleans()):
-        subsets.append(subsets[draw(st.integers(0, len(subsets) - 1))])
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        subsets = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=k, max_size=k), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            subsets.append(subsets[draw(st.integers(0, len(subsets) - 1))])
+        batches.append(subsets)
     warm = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
     n_splits = draw(st.integers(1, 6))
     test_fraction = draw(st.sampled_from([0.2, 0.25, 1 / 3, 0.5]))
     base_seed = draw(st.integers(0, 1000))
     block = draw(st.integers(1, 7))
+    table_max = draw(st.sampled_from([4, 40]))  # 4: every fit of 5 or more rows takes the formula
+    depth = draw(st.sampled_from([1, 2, 3, 8]))
     matrix = FeatureMatrix(x, tuple(f"f{j}" for j in range(m)))
     labels = LabelVector(y, ("a", "b"))
-    return matrix, labels, subsets, warm, n_splits, test_fraction, base_seed, block
+    return matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max, depth
 
 
 class TestTree:
@@ -498,26 +508,44 @@ class TestEvaluate:
             evaluate_subset(matrix, labels, np.arange(4), n_splits=0)
 
 
+def stage_in_turn(evaluator: Evaluator, batches) -> list[dict]:
+    """Each batch's staged counts, collected before the next batch."""
+    held = []
+    for subsets in batches:
+        evaluator.stage(subsets)
+        held.append(dict(evaluator.staged))
+        evaluator.staged.clear()
+    return held
+
+
 class TestBatch:
     @given(batch_problems())
     def test_staged_counts_match_one_off_calls_and_the_oracle(self, problem):
         # blocks of 1-7 (column, tree) pairs split a batch over several
         # forests and a forest's columns over several passes; the warm
-        # columns sit at scattered table rows before the batch asks for them
-        matrix, labels, subsets, warm, n_splits, test_fraction, base_seed, block = problem
+        # columns sit at scattered table rows before the batch asks for
+        # them; later batches read the best cuts earlier ones kept, which
+        # the one-off calls (no memo) never do
+        matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max, depth = problem
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", 40)
+            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
             patch.setattr(classifier, "_BLOCK", block)
+            patch.setattr(classifier, "_MEMO_DEPTH", depth)
             evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
             evaluator.stage(np.array(warm, dtype=int)[:, None])
             evaluator.staged.clear()
-            evaluator.stage(subsets)
-            staged = dict(evaluator.staged)
+            held = stage_in_turn(evaluator, batches)
+            # in the reverse order, each batch reads what the others kept
+            reverse = stage_in_turn(Evaluator(matrix, labels, n_splits, test_fraction, base_seed), batches[::-1])
             one_off = {
                 key: evaluate_subset(matrix, labels, np.array(key), n_splits, test_fraction, base_seed)[1]
-                for key in staged
+                for staged in held for key in staged
             }
-        assert set(staged) == set(map(tuple, subsets))
+        assert held == reverse[::-1]
+        staged = {}
+        for subsets, counts in zip(batches, held):
+            assert set(counts) == set(map(tuple, subsets))
+            staged.update(counts)
         x, y = matrix.values, labels.labels
         plans = [stratified_split(labels, test_fraction, base_seed + s) for s in range(n_splits)]
         for key, counts in staged.items():
@@ -530,6 +558,58 @@ class TestBatch:
                 tree = oracle_fit_tree(x[train][:, columns], y[train])
                 predicted = oracle_predict(tree, x[test][:, columns])
                 assert (tp, tn, fp, fn) == confusion_counts(y[test], predicted)
+
+    @pytest.mark.parametrize("depth", [None, 64], ids=["default", "every-level"])
+    def test_restaging_scores_no_kept_cut_again(self, monkeypatch, depth):
+        # after one staging every (node, column) of the kept levels is
+        # held, so staging the batch again keeps nothing new and scores no
+        # one-column segment of a miss (a one-row grid); the levels past
+        # the memo still scan their (k x positions) grids, and with every
+        # level kept nothing is scanned at all
+        if depth is not None:
+            monkeypatch.setattr(classifier, "_MEMO_DEPTH", depth)
+        ds = make_planted(14, 16, 12, 3, 1.0, seed=9)
+        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=5, test_fraction=0.25, base_seed=2)
+        batch = [(0, 3, 5), (3, 5, 7), (1, 3, 5), (0, 3, 5), (11, 2, 3), (4, 6, 8)]
+        first = stage_in_turn(evaluator, [batch])
+        kept = [len(keys) - 1 for keys, _, _ in evaluator.memo.levels]
+        assert kept[0] == 5 * 10 and kept[1] > 0  # each root once per distinct column
+        scanned = []
+        best_cuts = classifier._best_cuts
+
+        def counting(code, order, *rest):
+            scanned.append(order.shape)
+            return best_cuts(code, order, *rest)
+
+        monkeypatch.setattr(classifier, "_best_cuts", counting)
+        assert stage_in_turn(evaluator, [batch]) == first
+        assert [len(keys) - 1 for keys, _, _ in evaluator.memo.levels] == kept
+        assert all(rows == 3 for rows, _ in scanned)
+        if depth:
+            assert scanned == []
+        else:
+            assert scanned  # the levels past the memo
+
+    def test_a_seeded_search_keeps_under_a_megabyte_of_cuts(self, monkeypatch):
+        # the memo holds the cuts of the top levels only; its arrays and
+        # the heap peak it adds to a search stay under 1 MB
+        ds = make_planted(22, 40, 300, 20, 1.2, seed=42)
+        config = PipelineConfig(seed=7, stagnation_limit=10)
+        stages = build_stages(ds.matrix, ds.labels, config)
+        results, peaks = [], []
+        for depth in (0, classifier._MEMO_DEPTH):
+            monkeypatch.setattr(classifier, "_MEMO_DEPTH", depth)
+            evaluator = build_evaluator(ds.matrix, ds.labels, config)
+            tracemalloc.start()
+            try:
+                results.append(search(ds.matrix, ds.labels, config, stages, evaluator))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[0] == results[1]
+        held = sum(array.nbytes for level in evaluator.memo.levels for array in level)
+        assert 0 < held < 2**20
+        assert peaks[1] - peaks[0] < 2**20
 
     def test_evaluate_subset_collects_what_stage_held(self):
         ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
