@@ -301,9 +301,10 @@ _SIDES = np.array([[0], [1]], dtype=np.int8)
 # 1.2), PipelineConfig(seed=7)), seeds 42 / 44: keeping 1, 2, 3 or 4
 # levels holds 0.02, 0.20 / 0.23, 0.59 / 0.78 or 1.00 / 1.39 MB of cuts
 # and raises the search's tracemalloc heap peak (2.65 / 2.67 MB without)
-# by 0.10, 0.28 / 0.23, 0.48 / 0.83 or 0.85 / 1.48 MB.  Search CPU time
-# at 2 and 3 levels was equal within the host's noise (each about 15-20%
-# below none), so 2 keeps the gain at a quarter of the memory.
+# by 0.10, 0.28 / 0.23, 0.48 / 0.83 or 0.85 / 1.48 MB.  Seed-42 search
+# CPU time (median of per-process minimums, two sets of 5-6 interleaved
+# processes) was 10-30% below none at 2 levels and 18% below at 3, equal
+# within the host's noise, so 2 keeps the gain at a third of the memory.
 _MEMO_DEPTH = 2
 
 
@@ -463,15 +464,15 @@ def _grow(
             )
         else:
             tree = order[0].take(starts) // n  # a node's first stacked row names its tree
-            best, best_column, left = memo.best_cuts(
+            best, best_column, left_size = memo.best_cuts(
                 level,
                 ids[:, None] * memo.m + grid.take(tree, axis=0),
-                lambda miss, column: _column_cuts(
-                    code, order, ranks, size, starts, size * stride + ones, table, miss, column,
+                lambda at, column: _column_cuts(
+                    code, order, ranks, size, starts, size * stride + ones, table, at, column,
                     width * len(positions),
                 ),
             )
-            best_column, best_cut = best_column.astype(index), starts + left - 1
+            best_column, best_cut = best_column.astype(index), starts + left_size - 1
         splits = best < np.inf  # the others are constant on every column: leaves
         if not splits.any():
             break

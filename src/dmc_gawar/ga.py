@@ -4,8 +4,9 @@ Individuals are fixed-size sets of distinct feature indices drawn from a
 candidate pool.  Selection is fitness-proportional, crossover is single
 point with duplicate repair, mutation swaps one gene for an unused pool
 member; both draw replacements from the pool's members in ascending
-order, a list the optimizer builds once per search.  The rates are a function of one count, ``s``, the consecutive
-iterations without improvement (``rate_schedule``): after ``s // 5``
+order, a list the optimizer builds once per search.  The rates are a
+function of one count, ``s``, the consecutive iterations without
+improvement (``rate_schedule``): after ``s // 5``
 shifts the crossover rate is ``max(0.3, 0.9 - 0.2 * shifts)`` and the
 mutation rate ``0.4 + 0.2 * shifts``; once the mutation rate passes 1.0
 the whole population is mutated each iteration.  An improvement resets
