@@ -90,10 +90,9 @@ seeded colon-like searches (``make_planted(22, 40, 2000, 20, 1.2)``,
 seeds 42-44) only 1.2-1.3% of the root's scan work and 7.7-8.6% of level
 1's is new, and those two levels hold 60-70% of all scan work; 17-19% of
 level 2's and 34-50% of level 3's is new.  The gain rests on that
-repetition, about 86-89% of a colon-like search's scan work: ``fit_tree``,
-subsets too wide to batch and ``evaluate_subset`` without an evaluator
-(a one-off evaluation, such as the ``evaluate`` subcommand) repeat none
-and grow without the memo.
+repetition, about 86-89% of a colon-like search's scan work: ``fit_tree``
+and subsets too wide to batch repeat none and grow without the memo, and
+a one-off evaluator's memo only ever holds its one subset's cuts.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -334,27 +333,34 @@ class _CutMemo:
         end = (np.array([np.iinfo(np.int64).max]), np.full(1, np.inf), np.zeros(1, dtype=np.min_scalar_type(n)))
         self.levels = [end] * self.depth  # per level: keys, Gini, left size
 
-    def best_cuts(self, level: int, keys: np.ndarray, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Gini, grid column, left size) of the winning cut of each open
-        node of ``level``; row ``i`` of ``keys`` holds the keys of node
-        ``i``'s grid columns.  ``score(node, column)`` gives the (Gini,
-        left size) of the pairs not yet kept, which are then kept.  A
-        node's winner is its first column of lowest Gini, cut at that
-        column's first cut of that value, as a per-node sweep picks it."""
-        held, gini, left = self.levels[level]
-        at = held.searchsorted(keys)
-        miss = held.take(at) != keys
-        if miss.any():
-            new, first = np.unique(keys[miss], return_index=True)
-            new_gini, new_left = score(*np.divmod(np.flatnonzero(miss).take(first), keys.shape[1]))
+    def misses(self, level: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(open node, grid column) of the pairs of ``level`` not yet kept,
+        in key order, one per distinct key; row ``i`` of ``keys`` holds the
+        keys of node ``i``'s grid columns."""
+        held = self.levels[level][0]
+        miss = held.take(held.searchsorted(keys)) != keys
+        _, first = np.unique(keys[miss], return_index=True)
+        return np.divmod(np.flatnonzero(miss).take(first), keys.shape[1])
+
+    def best_cuts(
+        self, level: int, keys: np.ndarray, node: np.ndarray, column: np.ndarray, gini: np.ndarray, left: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Keep the (``gini``, ``left`` size) scored for ``misses``' pairs
+        (``node``, ``column``), then give the (Gini, grid column, left size)
+        of the winning cut of each open node of ``level``: its first column
+        of lowest Gini, cut at that column's first cut of that value, as a
+        per-node sweep picks it."""
+        held, kept_gini, kept_left = self.levels[level]
+        if len(node):
+            new = keys[node, column]
             spot = held.searchsorted(new)
-            held, gini, left = self.levels[level] = (
-                np.insert(held, spot, new), np.insert(gini, spot, new_gini), np.insert(left, spot, new_left)
+            held, kept_gini, kept_left = self.levels[level] = (
+                np.insert(held, spot, new), np.insert(kept_gini, spot, gini), np.insert(kept_left, spot, left)
             )
-            at = held.searchsorted(keys)
-        best_column = gini.take(at).argmin(axis=1)
+        at = held.searchsorted(keys)
+        best_column = kept_gini.take(at).argmin(axis=1)
         won = np.take_along_axis(at, best_column[:, None], axis=1)[:, 0]
-        return gini.take(won), best_column, left.take(won)
+        return kept_gini.take(won), best_column, kept_left.take(won)
 
 
 def _column_cuts(
@@ -373,6 +379,8 @@ def _column_cuts(
     ``node[i]`` on its grid column ``column[i]`` alone.  ``_best_cuts``
     scores each pair as a one-column segment, the node's positions in the
     column's row of ``order`` and ``ranks``, about ``block`` cells per call."""
+    if not len(node):  # every pair is kept
+        return np.empty(0), np.empty(0, dtype=np.intp)
     size, node_code = size.take(node), node_code.take(node)
     ends = size.cumsum()
     bounds = [0, *(np.flatnonzero(np.diff((ends - 1) // block)) + 1).tolist(), len(node)]
@@ -464,14 +472,12 @@ def _grow(
             )
         else:
             tree = order[0].take(starts) // n  # a node's first stacked row names its tree
-            best, best_column, left_size = memo.best_cuts(
-                level,
-                ids[:, None] * memo.m + grid.take(tree, axis=0),
-                lambda at, column: _column_cuts(
-                    code, order, ranks, size, starts, size * stride + ones, table, at, column,
-                    width * len(positions),
-                ),
+            keys = ids[:, None] * memo.m + grid.take(tree, axis=0)
+            missed = memo.misses(level, keys)
+            scored = _column_cuts(
+                code, order, ranks, size, starts, size * stride + ones, table, *missed, width * len(positions)
             )
+            best, best_column, left_size = memo.best_cuts(level, keys, *missed, *scored)
             best_column, best_cut = best_column.astype(index), starts + left_size - 1
         splits = best < np.inf  # the others are constant on every column: leaves
         if not splits.any():
@@ -645,9 +651,8 @@ class Evaluator:
     once (split k has seed ``base_seed + k``), the sort of each column
     under every train split, made the first time a narrow subset asks for
     the column and kept, the best cuts its narrow subsets' trees found at
-    their top levels (``memo``; ``memo=False``, for a one-off call, keeps
-    none), and the counts ``stage`` scored and ``evaluate_subset`` has not
-    yet collected.
+    their top levels (``memo``), and the counts ``stage`` scored and
+    ``evaluate_subset`` has not yet collected.
 
     The sort tables are ``_sort_columns``' output, one row of
     ``n_splits * n_train`` stacked row ids and ranks per column,
@@ -660,8 +665,7 @@ class Evaluator:
     """
 
     def __init__(
-        self, matrix: FeatureMatrix, labels: LabelVector, n_splits: int, test_fraction: float, base_seed: int,
-        memo: bool = True,
+        self, matrix: FeatureMatrix, labels: LabelVector, n_splits: int, test_fraction: float, base_seed: int
     ):
         if n_splits < 1:
             raise ValueError("n_splits must be at least 1")
@@ -675,7 +679,7 @@ class Evaluator:
         self.tables: tuple[np.ndarray, ...] = ()
         # column tuple -> per-split [TN, FP, FN, TP], held until collected
         self.staged: dict[tuple[int, ...], list[list[int]]] = {}
-        self.memo = _CutMemo(n_splits, matrix.m, self.train.shape[1]) if memo else None
+        self.memo = _CutMemo(n_splits, matrix.m, self.train.shape[1])
 
     def check(self, matrix: FeatureMatrix, labels: LabelVector, **settings) -> None:
         """Raise ``ValueError`` unless a call names the data and split
@@ -771,7 +775,7 @@ def evaluate_subset(
     """
     (features,) = _subset_grid(np.asarray(features)[None], matrix.m)
     if evaluator is None:
-        evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed, memo=False)
+        evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
     else:
         evaluator.check(matrix, labels, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed)
     key = tuple(features.tolist())

@@ -525,7 +525,7 @@ class TestBatch:
         # forests and a forest's columns over several passes; the warm
         # columns sit at scattered table rows before the batch asks for
         # them; later batches read the best cuts earlier ones kept, which
-        # the one-off calls (no memo) never do
+        # the one-off calls' fresh evaluators never do
         matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max, depth = problem
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
