@@ -26,10 +26,11 @@ positions in every grid column, each sorted by that tree's column there.
 A running sum of the codes along a block of grid columns, less each
 node's starting sum, gives the left child of every cut of every node of
 every tree in one pass.  A cut between equal values (equal ranks) or past
-a node's last row is no cut.  Each node's minimum
-(``np.minimum.reduceat``) picks the earliest column, then the first cut,
-and across blocks only a strictly lower value wins: the row-major order of
-a per-node sweep, so each tree is the one a node-by-node grower builds.
+a node's last row is no cut.  The scan (``_best_cuts``) keeps only each
+node's lowest Gini on each column (``np.minimum.reduceat``); ``_grow``
+applies the tie rule above to those alone, in one place, and scores the
+winning column again for its cut: a per-node sweep's order, so each tree
+is the one a node-by-node grower builds.
 The winning grid column's order sends each node's rows left or right, and
 one flat index per block regroups the rows of open children, still
 sorted, for the next level.  Pure nodes, nodes of fewer than 2 rows and
@@ -65,34 +66,34 @@ One evaluator per run: a run scores thousands of subsets under the same
 few split plans, which its ``Evaluator`` builds once.  Its ``stage`` holds
 each subset's per-split confusion counts until ``evaluate_subset``
 collects them; ``evaluate_subset`` stages a subset nobody staged as a
-batch of one.  ``evaluate_subset`` without an evaluator builds a one-off
-evaluator; no plan, sort, cut or count outlives its evaluator, and a
-batch's counts are those of one-off calls, so a result never depends on
-what was evaluated before or beside it.
+batch of one.  ``evaluate_subset`` without an evaluator builds the split
+plans and grows the subset alone, each forest sorting its own columns,
+and keeps nothing; no plan, sort, Gini or count outlives its evaluator,
+and a batch's counts are those of one-off calls, so a result never
+depends on what was evaluated before or beside it.
 
-An evaluator also remembers best cuts (``_CutMemo``), because a search
-repeats most of its split work: a GA population converges on overlapping
-subsets, so the same node meets the same column again and again.  For
-each node of the top ``_MEMO_DEPTH`` levels and each column scored there
-it keeps two values: the column's lowest weighted Gini and the left size
-of its first cut at that value.  A node is named by its path, the root of
-split ``s`` and then one (parent, winning column, side) step per level.
-A node's cut on its winning column depends only on the node's rows and
-that column (RainForest, Gehrke, Ramakrishnan & Ganti, VLDB 1998: a
-node's best split on an attribute needs only that node's rows of the
-attribute), so a path fixes the node's rows and a kept value is exact
-wherever the node grows again.  At a kept level ``_grow`` looks up every
-(open node, grid column) pair and scores only the misses, each as a
-one-column segment, with the same ``_best_cuts``; a node's winner is its
-first column of lowest Gini, cut at that column's first cut of that
-value, the order of the per-node sweep, so every tree is unchanged.  In
-seeded colon-like searches (``make_planted(22, 40, 2000, 20, 1.2)``,
-seeds 42-44) only 1.2-1.3% of the root's scan work and 7.7-8.6% of level
-1's is new, and those two levels hold 60-70% of all scan work; 17-19% of
-level 2's and 34-50% of level 3's is new.  The gain rests on that
-repetition, about 86-89% of a colon-like search's scan work: ``fit_tree``
-and subsets too wide to batch repeat none and grow without the memo, and
-a one-off evaluator's memo only ever holds its one subset's cuts.
+An evaluator also remembers each column's lowest weighted Gini at each
+node (``_CutMemo``), because a search repeats most of its split work: a
+GA population converges on overlapping subsets, so the same node meets
+the same column again and again.  It keeps that one value for each node
+of the top ``_MEMO_DEPTH`` levels and each column scored there: where a
+column's cut falls matters only for the column that wins, which ``_grow``
+scores again.  A node is named by its path, the root of split ``s`` and
+then one (parent, winning column, side) step per level.  A node's cut on
+its winning column depends only on the node's rows and that column
+(RainForest, Gehrke, Ramakrishnan & Ganti, VLDB 1998: a node's best split
+on an attribute needs only that node's rows of the attribute), so a path
+fixes the node's rows and a kept value is exact wherever the node grows
+again.  At a kept level ``_grow`` looks up every (open node, grid column)
+pair, scores only the misses, each as a one-column segment, with the same
+``_best_cuts``, and decides as at any other level, so every tree is
+unchanged.  In seeded colon-like searches (``make_planted(22, 40, 2000,
+20, 1.2)``, seeds 42-44) only 1.2-1.3% of the root's scan work and
+7.7-8.6% of level 1's is new, and those two levels hold 60-70% of all
+scan work; 17-19% of level 2's and 34-50% of level 3's is new.  The gain
+rests on that repetition, about 86-89% of a colon-like search's scan
+work: ``fit_tree``, subsets too wide to batch and one-off
+``evaluate_subset`` calls repeat none and grow without the memo.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -102,6 +103,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,23 +225,18 @@ def _sort_columns(
     return order, ranks
 
 
-def _best_cuts(
+def _cut_gini(
     code: np.ndarray,
-    order: np.ndarray,
-    ranks: np.ndarray,
     size: np.ndarray,
     starts: np.ndarray,
     node_of: np.ndarray,
     node_code: np.ndarray,
     table: np.ndarray | None,
-    width: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weighted Gini, column, cut) of each open node's best cut; the
-    Gini is inf where every column is constant on the node, and its column
-    and cut are then any valid pair.  Cut ``i`` lies after position ``i``;
-    each node's cuts are ranked as a per-node sweep ranks them: earliest
-    column, then first cut, and a later block of ``width`` columns must be
-    strictly lower.
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The weighted Gini of every cut of a level's open nodes, as a
+    function of (rows x positions) blocks of ``order`` and ``ranks``: inf
+    at a cut between equal values (equal ranks) or past a node's last row.
+    Cut ``i`` lies after position ``i``.
 
     ``order`` holds the stacked row ids of each column's positions and
     ``code`` the code of each stacked row; ``node_code`` is the sum of
@@ -251,66 +248,64 @@ def _best_cuts(
     """
     index = node_of.dtype  # of every position, cut and sum array
     of = node_of[:-1]  # node of each cut
-    cuts = np.arange(len(of), dtype=index)
     inside = of == node_of[1:]  # the cut after a node's last row leaves it
     node_code = node_code.astype(index, copy=False)
     code_end = node_code.cumsum(dtype=index).take(of)
     code_before = code_end - node_code.take(of)
     node_size = size.take(of)
     if table is None:
-        left_n = cuts - starts.take(of) + 1.0
+        left_n = np.arange(len(of), dtype=index) - starts.take(of) + 1.0
         right_n = np.maximum(node_size - left_n, 1.0)  # 0 only where the cut is masked
 
-    for start in range(0, len(order), width):
-        block = slice(start, start + width)
-        running = code.take(order[block, :-1]).cumsum(axis=1, dtype=index)
+    def weighted(order: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        running = code.take(order[:, :-1]).cumsum(axis=1, dtype=index)
         if table is None:
             left_terms = _child_terms(left_n, running - code_before)
-            weighted = (left_terms + _child_terms(right_n, code_end - running)) / node_size
+            gini = (left_terms + _child_terms(right_n, code_end - running)) / node_size
         else:
-            weighted = (table.take(running - code_before) + table.take(code_end - running)) / node_size
-        cut = ranks[block, :-1] != ranks[block, 1:]
+            gini = (table.take(running - code_before) + table.take(code_end - running)) / node_size
+        cut = ranks[:, :-1] != ranks[:, 1:]
         cut &= inside
-        weighted = np.where(cut, weighted, np.inf)
-        lowest = np.minimum.reduceat(weighted, starts, axis=1)
-        column = lowest.argmin(axis=0).astype(index)
-        lowest = lowest.min(axis=0)
-        if start:
-            better = lowest < best
-            if not better.any():
-                continue
-        # a node whose columns are all constant hits every cut, so its
-        # first hit is a cut inside it
-        hit = weighted.take(column.take(of) * len(cuts) + cuts) == lowest.take(of)
-        first_hit = np.minimum.reduceat(np.where(hit, cuts, len(cuts)), starts)
-        if start == 0:  # the first block's minimum stands until a later block beats it
-            best, best_column, best_cut = lowest, column, first_hit
-        else:
-            best = np.where(better, lowest, best)
-            best_column = np.where(better, start + column, best_column)
-            best_cut = np.where(better, first_hit, best_cut)
-    return best, best_column, best_cut
+        return np.where(cut, gini, np.inf)
+
+    return weighted
+
+
+def _best_cuts(
+    weighted: Callable[[np.ndarray, np.ndarray], np.ndarray], order: np.ndarray, ranks: np.ndarray,
+    starts: np.ndarray, width: int,
+) -> np.ndarray:
+    """(columns x nodes) lowest weighted Gini of each open node on each
+    column of ``order`` and ``ranks``, inf where the column is constant on
+    the node; ``weighted`` is the level's ``_cut_gini``, applied to blocks
+    of ``width`` columns."""
+    lowest = np.empty((len(order), len(starts)))
+    for start in range(0, len(order), width):
+        block = slice(start, start + width)
+        np.minimum.reduceat(weighted(order[block], ranks[block]), starts, axis=1, out=lowest[block])
+    return lowest
 
 
 # The two children of a parent, as rows of a (2 x parents) grid.
 _SIDES = np.array([[0], [1]], dtype=np.int8)
 
-# Levels of a fitness tree whose per-column best cuts an evaluator keeps.
+# Levels of a fitness tree whose per-column lowest Gini an evaluator keeps.
 # Measured on the seeded colon-like search (make_planted(22, 40, 2000, 20,
 # 1.2), PipelineConfig(seed=7)), seeds 42 / 44: keeping 1, 2, 3 or 4
-# levels holds 0.02, 0.20 / 0.23, 0.59 / 0.78 or 1.00 / 1.39 MB of cuts
-# and raises the search's tracemalloc heap peak (2.65 / 2.67 MB without)
-# by 0.10, 0.28 / 0.23, 0.48 / 0.83 or 0.85 / 1.48 MB.  Seed-42 search
-# CPU time (median of per-process minimums, two sets of 5-6 interleaved
-# processes) was 10-30% below none at 2 levels and 18% below at 3, equal
-# within the host's noise, so 2 keeps the gain at a third of the memory.
+# levels holds 0.02, 0.18 / 0.21, 0.53 / 0.70 or 0.89 / 1.25 MB.  With a
+# left size kept beside each Gini, those levels raised the search's
+# tracemalloc heap peak (2.65 / 2.67 MB without) by 0.10, 0.28 / 0.23,
+# 0.48 / 0.83 or 0.85 / 1.48 MB, and seed-42 search CPU time (median of
+# per-process minimums, two sets of 5-6 interleaved processes) was 10-30%
+# below none at 2 levels and 18% below at 3, equal within the host's
+# noise, so 2 keeps the gain at a third of the memory.
 _MEMO_DEPTH = 2
 
 
 class _CutMemo:
-    """The best cut of each column at each node of an evaluator's trees,
-    for the top ``depth`` levels; tree ``t`` of a forest grows on split
-    ``t % n_splits``.
+    """The lowest weighted Gini of each column at each node of an
+    evaluator's trees, for the top ``depth`` levels; tree ``t`` of a forest
+    grows on split ``t % n_splits``.
 
     A node is named by its path: node ``s`` is the root of split ``s``, and
     the child on ``side`` (0 left, 1 right) of node ``p`` cut on column
@@ -320,47 +315,37 @@ class _CutMemo:
     node's rows, and a value kept for a node holds wherever the node grows
     again.  Per level, arrays sorted by key ``node * m + column`` hold the
     column's lowest weighted Gini at the node (inf if the column is
-    constant there) and the left size of its first cut at that value; a
-    key past every key closes them, so a lookup never runs off the end.
+    constant there); a key past every key closes them, so a lookup never
+    runs off the end.
     """
 
-    def __init__(self, n_splits: int, m: int, n: int):
+    def __init__(self, n_splits: int, m: int):
         self.n_splits, self.m = n_splits, m
         # the deepest keys, below n_splits * (2m)**(depth - 1) * m, must fit int64
         self.depth = 0
         while self.depth < _MEMO_DEPTH and n_splits * (2 * m) ** self.depth * m < 2**63:
             self.depth += 1
-        end = (np.array([np.iinfo(np.int64).max]), np.full(1, np.inf), np.zeros(1, dtype=np.min_scalar_type(n)))
-        self.levels = [end] * self.depth  # per level: keys, Gini, left size
+        self.levels = [(np.array([np.iinfo(np.int64).max]), np.full(1, np.inf))] * self.depth  # keys, Gini
 
     def misses(self, level: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(open node, grid column) of the pairs of ``level`` not yet kept,
-        in key order, one per distinct key; row ``i`` of ``keys`` holds the
-        keys of node ``i``'s grid columns."""
+        """(grid column, open node) of the pairs of ``level`` not yet kept,
+        in key order, one per distinct key; ``keys`` is (columns x nodes)."""
         held = self.levels[level][0]
         miss = held.take(held.searchsorted(keys)) != keys
         _, first = np.unique(keys[miss], return_index=True)
         return np.divmod(np.flatnonzero(miss).take(first), keys.shape[1])
 
-    def best_cuts(
-        self, level: int, keys: np.ndarray, node: np.ndarray, column: np.ndarray, gini: np.ndarray, left: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Keep the (``gini``, ``left`` size) scored for ``misses``' pairs
-        (``node``, ``column``), then give the (Gini, grid column, left size)
-        of the winning cut of each open node of ``level``: its first column
-        of lowest Gini, cut at that column's first cut of that value, as a
-        per-node sweep picks it."""
-        held, kept_gini, kept_left = self.levels[level]
+    def fill(
+        self, level: int, keys: np.ndarray, column: np.ndarray, node: np.ndarray, scored: np.ndarray
+    ) -> np.ndarray:
+        """Keep the Gini ``scored`` for ``misses``' pairs (``column``,
+        ``node``), then give the kept Gini of every key of ``level``."""
+        held, kept = self.levels[level]
         if len(node):
-            new = keys[node, column]
+            new = keys[column, node]
             spot = held.searchsorted(new)
-            held, kept_gini, kept_left = self.levels[level] = (
-                np.insert(held, spot, new), np.insert(kept_gini, spot, gini), np.insert(kept_left, spot, left)
-            )
-        at = held.searchsorted(keys)
-        best_column = kept_gini.take(at).argmin(axis=1)
-        won = np.take_along_axis(at, best_column[:, None], axis=1)[:, 0]
-        return kept_gini.take(won), best_column, kept_left.take(won)
+            held, kept = self.levels[level] = np.insert(held, spot, new), np.insert(kept, spot, scored)
+        return kept.take(held.searchsorted(keys))
 
 
 def _column_cuts(
@@ -371,20 +356,20 @@ def _column_cuts(
     starts: np.ndarray,
     node_code: np.ndarray,
     table: np.ndarray | None,
-    node: np.ndarray,
     column: np.ndarray,
+    node: np.ndarray,
     block: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(weighted Gini, left size) of the best cut of each open node
-    ``node[i]`` on its grid column ``column[i]`` alone.  ``_best_cuts``
-    scores each pair as a one-column segment, the node's positions in the
-    column's row of ``order`` and ``ranks``, about ``block`` cells per call."""
+) -> np.ndarray:
+    """Lowest weighted Gini of each open node ``node[i]`` on its grid
+    column ``column[i]`` alone.  ``_best_cuts`` scores each pair as a
+    one-column segment, the node's positions in the column's row of
+    ``order`` and ``ranks``, about ``block`` cells per call."""
     if not len(node):  # every pair is kept
-        return np.empty(0), np.empty(0, dtype=np.intp)
+        return np.empty(0)
     size, node_code = size.take(node), node_code.take(node)
     ends = size.cumsum()
     bounds = [0, *(np.flatnonzero(np.diff((ends - 1) // block)) + 1).tolist(), len(node)]
-    gini, left = [], []
+    gini = []
     for lo, hi in zip(bounds, bounds[1:]):
         seg_size, seg_code = size[lo:hi], node_code[lo:hi]
         cells = int(seg_size.sum())
@@ -394,13 +379,10 @@ def _column_cuts(
         seg_start = seg_size.cumsum(dtype=index) - seg_size
         take = np.repeat(column[lo:hi] * order.shape[1] + starts.take(node[lo:hi]) - seg_start, seg_size)
         take += np.arange(cells, dtype=take.dtype)
-        lowest, _, cut = _best_cuts(
-            code, order.take(take)[None], ranks.take(take)[None], seg_size, seg_start,
-            np.repeat(np.arange(hi - lo, dtype=index), seg_size), seg_code, table, 1,
-        )
-        gini.append(lowest)
-        left.append(cut - seg_start + 1)
-    return np.concatenate(gini), np.concatenate(left)
+        node_of = np.repeat(np.arange(hi - lo, dtype=index), seg_size)
+        weighted = _cut_gini(code, seg_size, seg_start, node_of, seg_code, table)
+        gini.append(_best_cuts(weighted, order.take(take)[None], ranks.take(take)[None], seg_start, 1)[0])
+    return np.concatenate(gini)
 
 
 def _grow(
@@ -423,9 +405,11 @@ def _grow(
     The open nodes of a level lie side by side: in every column's row
     order a node is one segment, at the same positions in every column,
     its rows sorted by that column.  One pass over a block of columns
-    scores the cuts of every node of every tree; the winning column's
-    order sends each node's rows to its children, and the rows of open
-    children are regrouped, in their sorted order, for the next level.
+    gives every node's lowest Gini on each column, read from ``memo``
+    where it holds them; each node's winning column is scored again for
+    its cut, its order sends the node's rows to its children, and the
+    rows of open children are regrouped, in their sorted order, for the
+    next level.
     A level only records its nodes, winners and cut rows; the node arrays
     are written for all levels at once, after the last.
     """
@@ -466,24 +450,32 @@ def _grow(
         order, ranks = (b[: k * len(positions)].reshape(k, -1) for b in buffers)
         starts = size.cumsum(dtype=index) - size
         node_of = np.repeat(np.arange(len(node), dtype=index), size)  # node of each position
+        node_code = size * stride + ones
+        weighted = _cut_gini(code, size, starts, node_of, node_code, table)
         if ids is None:
-            best, best_column, best_cut = _best_cuts(
-                code, order, ranks, size, starts, node_of, size * stride + ones, table, width
-            )
+            gini = _best_cuts(weighted, order, ranks, starts, width)
         else:
             tree = order[0].take(starts) // n  # a node's first stacked row names its tree
-            keys = ids[:, None] * memo.m + grid.take(tree, axis=0)
+            keys = ids * memo.m + grid.take(tree, axis=0).T
             missed = memo.misses(level, keys)
             scored = _column_cuts(
-                code, order, ranks, size, starts, size * stride + ones, table, *missed, width * len(positions)
+                code, order, ranks, size, starts, node_code, table, *missed, width * len(positions)
             )
-            best, best_column, left_size = memo.best_cuts(level, keys, *missed, *scored)
-            best_column, best_cut = best_column.astype(index), starts + left_size - 1
+            gini = memo.fill(level, keys, *missed, scored)
+        # The split rule: a node splits on its earliest column of lowest
+        # weighted Gini, at that column's first cut of that value.
+        best_column = gini.argmin(axis=0).astype(index)
+        best = gini.min(axis=0)
         splits = best < np.inf  # the others are constant on every column: leaves
         if not splits.any():
             break
         # the stacked rows of each node in its winning column's order
-        winner = order.take(best_column.take(node_of) * len(positions) + positions)
+        at = best_column.take(node_of) * len(positions) + positions
+        winner = order.take(at)
+        hit = weighted(winner[None], ranks.take(at)[None])[0] == best.take(node_of[:-1])
+        # a node whose columns are all constant hits every cut, so its
+        # first hit is a cut inside it
+        best_cut = np.minimum.reduceat(np.where(hit, positions[:-1], len(positions)), starts)
         goes_right = positions > best_cut.take(node_of)
         left_n = best_cut - starts + 1
         left_ones = ones - np.add.reduceat(y.take(winner) & goes_right, starts)
@@ -650,9 +642,13 @@ class Evaluator:
     """The repeated-holdout protocol of one run: its split plans, built
     once (split k has seed ``base_seed + k``), the sort of each column
     under every train split, made the first time a narrow subset asks for
-    the column and kept, the best cuts its narrow subsets' trees found at
-    their top levels (``memo``), and the counts ``stage`` scored and
-    ``evaluate_subset`` has not yet collected.
+    the column and kept, each column's lowest weighted Gini, and only
+    that, at the top-level nodes of its narrow subsets' trees (``memo``),
+    and the counts ``stage`` scored and ``evaluate_subset`` has not yet
+    collected.  Its trees follow the module's tie rule whatever was kept,
+    so each is the tree a one-off call grows; a one-off call
+    (``evaluate_subset`` without an evaluator) grows its subset alone and
+    keeps nothing.
 
     The sort tables are ``_sort_columns``' output, one row of
     ``n_splits * n_train`` stacked row ids and ranks per column,
@@ -679,7 +675,7 @@ class Evaluator:
         self.tables: tuple[np.ndarray, ...] = ()
         # column tuple -> per-split [TN, FP, FN, TP], held until collected
         self.staged: dict[tuple[int, ...], list[list[int]]] = {}
-        self.memo = _CutMemo(n_splits, matrix.m, self.train.shape[1])
+        self.memo = _CutMemo(n_splits, matrix.m)
 
     def check(self, matrix: FeatureMatrix, labels: LabelVector, **settings) -> None:
         """Raise ``ValueError`` unless a call names the data and split
@@ -769,19 +765,20 @@ def evaluate_subset(
     Split k uses seed ``base_seed + k``, so the same arguments always yield
     the same value; this is the fitness the optimizer maximizes.
     ``evaluator``, an ``Evaluator`` built for these arguments, lends the
-    split plans and column sorts of earlier calls, and the counts its
-    ``stage`` scored for these features, which this call collects; without
-    it a one-off evaluator is built.  The result is the same either way.
+    split plans, column sorts and kept Ginis of earlier calls, and the
+    counts its ``stage`` scored for these features, which this call
+    collects; without it the subset grows alone and nothing is kept.  The
+    result is the same either way.
     """
     (features,) = _subset_grid(np.asarray(features)[None], matrix.m)
     if evaluator is None:
-        evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
+        counts = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)._alone(features)
     else:
         evaluator.check(matrix, labels, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed)
-    key = tuple(features.tolist())
-    if key not in evaluator.staged:
-        evaluator.stage(features[None])
-    counts = evaluator.staged.pop(key)
+        key = tuple(features.tolist())
+        if key not in evaluator.staged:
+            evaluator.stage(features[None])
+        counts = evaluator.staged.pop(key)
     per_split = [ClassificationMetrics.from_counts(tp, tn, fp, fn) for tn, fp, fn, tp in counts]
     mean_overall = float(np.mean([m.overall for m in per_split]))
     return mean_overall, per_split

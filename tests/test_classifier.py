@@ -105,6 +105,20 @@ def batch_problems(draw):
     return matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max, depth
 
 
+@st.composite
+def level_layouts(draw):
+    """(x, y, sizes, width, Gini table bound): one level of open nodes on
+    ``tie_heavy_arrays`` data, node ``j`` the next ``sizes[j]`` rows, and
+    a block of 1 to k columns.  A bound of 4 sends every layout of 5 or
+    more rows to the formula, 200 every layout to the table."""
+    sizes = draw(st.lists(st.integers(2, 30), min_size=1, max_size=6))
+    k = draw(st.integers(1, 6))
+    top = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = tie_heavy_arrays(rng, sum(sizes), k, top)
+    return x, y, np.array(sizes), draw(st.integers(1, k)), draw(st.sampled_from([4, 200]))
+
+
 class TestTree:
     def test_simple_threshold(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -247,6 +261,41 @@ class TestTree:
         tree = fit_tree(x, y)
         assert tree == oracle_fit_tree(x, y)
         assert tree.left.threshold == 137.0
+
+    @given(level_layouts())
+    def test_kernel_gives_each_nodes_lowest_gini_on_each_column(self, layout):
+        # the level as _grow lays it out: each node's rows sorted by each
+        # column in its own segment, ranks equal exactly where values are
+        x, y, sizes, width, table_max = layout
+        n, k = x.shape
+        index = np.int32
+        starts = (np.cumsum(sizes) - sizes).astype(index)
+        node_of = np.repeat(np.arange(len(sizes), dtype=index), sizes)
+        order = np.concatenate([
+            start + np.argsort(x[start : start + size], axis=0, kind="stable")
+            for start, size in zip(starts, sizes)
+        ]).T.astype(index)
+        ranks = np.unique(x, return_inverse=True)[1].reshape(x.shape).T
+        ranks = np.take_along_axis(ranks, order, axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
+            table = classifier._table_for(n) if n <= classifier.GINI_TABLE_MAX_ROWS else None
+        stride = 0 if table is None else n + 1
+        ones = np.add.reduceat(y, starts).astype(index)
+        weighted = classifier._cut_gini(
+            (y + stride).astype(index), sizes.astype(index), starts, node_of, sizes * stride + ones, table
+        )
+        got = classifier._best_cuts(weighted, order, ranks, starts, width)
+        want = np.full((k, len(sizes)), np.inf)
+        for j, (start, size) in enumerate(zip(starts, sizes)):
+            for column in range(k):
+                values = x[start : start + size, column]
+                ranked = np.argsort(values, kind="stable")
+                cut = np.flatnonzero(values[ranked][:-1] < values[ranked][1:])
+                if len(cut):
+                    left_ones = np.cumsum(y[start : start + size][ranked])[cut]
+                    want[column, j] = oracle_weighted_gini(cut + 1, left_ones, size, ones[j]).min()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_deep_tree_grows_without_recursion(self):
         # alternating labels on distinct values need a cut between every
@@ -470,6 +519,20 @@ class TestEvaluate:
         got = evaluate_subset(matrix, labels, np.array([3, 2]), 4, 0.25, 5, evaluator=evaluator)
         assert got == evaluate_subset(ds.matrix, ds.labels, np.array([3, 2]), 4, 0.25, 5)
 
+    def test_a_narrow_one_off_call_keeps_nothing(self, monkeypatch):
+        # without an evaluator a subset grows alone on its own column
+        # sorts: no sort table is kept and no batch is staged
+        ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
+        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.2, base_seed=7)
+        want = evaluate_subset(ds.matrix, ds.labels, np.array([3, 1, 4]), 4, 0.2, 7, evaluator=evaluator)
+
+        def unreachable(self, *args):
+            raise AssertionError("a one-off call kept sorts or staged a batch")
+
+        monkeypatch.setattr(Evaluator, "_keep", unreachable)
+        monkeypatch.setattr(Evaluator, "_together", unreachable)
+        assert evaluate_subset(ds.matrix, ds.labels, np.array([3, 1, 4]), 4, 0.2, 7) == want
+
     def test_classifier_keeps_no_process_wide_container(self):
         # a module-level dict, list or set would be state shared by every
         # run, and a result could depend on what was evaluated before
@@ -572,18 +635,18 @@ class TestBatch:
         evaluator = Evaluator(ds.matrix, ds.labels, n_splits=5, test_fraction=0.25, base_seed=2)
         batch = [(0, 3, 5), (3, 5, 7), (1, 3, 5), (0, 3, 5), (11, 2, 3), (4, 6, 8)]
         first = stage_in_turn(evaluator, [batch])
-        kept = [len(keys) - 1 for keys, _, _ in evaluator.memo.levels]
+        kept = [len(keys) - 1 for keys, _ in evaluator.memo.levels]
         assert kept[0] == 5 * 10 and kept[1] > 0  # each root once per distinct column
         scanned = []
         best_cuts = classifier._best_cuts
 
-        def counting(code, order, *rest):
+        def counting(weighted, order, *rest):
             scanned.append(order.shape)
-            return best_cuts(code, order, *rest)
+            return best_cuts(weighted, order, *rest)
 
         monkeypatch.setattr(classifier, "_best_cuts", counting)
         assert stage_in_turn(evaluator, [batch]) == first
-        assert [len(keys) - 1 for keys, _, _ in evaluator.memo.levels] == kept
+        assert [len(keys) - 1 for keys, _ in evaluator.memo.levels] == kept
         assert all(rows == 3 for rows, _ in scanned)
         if depth:
             assert scanned == []
@@ -591,13 +654,15 @@ class TestBatch:
             assert scanned  # the levels past the memo
 
     def test_a_seeded_search_keeps_under_a_megabyte_of_cuts(self, monkeypatch):
-        # the memo holds the cuts of the top levels only; its arrays and
-        # the heap peak it adds to a search stay under 1 MB
+        # the memo holds the Gini of the top levels only; its arrays and
+        # the heap peak it adds to a search stay under 1 MB.  The first
+        # search in a process peaks about 1 MB higher than later ones, so
+        # a warm-up search runs first and only the last two are compared.
         ds = make_planted(22, 40, 300, 20, 1.2, seed=42)
         config = PipelineConfig(seed=7, stagnation_limit=10)
         stages = build_stages(ds.matrix, ds.labels, config)
         results, peaks = [], []
-        for depth in (0, classifier._MEMO_DEPTH):
+        for depth in (0, 0, classifier._MEMO_DEPTH):
             monkeypatch.setattr(classifier, "_MEMO_DEPTH", depth)
             evaluator = build_evaluator(ds.matrix, ds.labels, config)
             tracemalloc.start()
@@ -606,10 +671,10 @@ class TestBatch:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
         held = sum(array.nbytes for level in evaluator.memo.levels for array in level)
         assert 0 < held < 2**20
-        assert peaks[1] - peaks[0] < 2**20
+        assert peaks[2] - peaks[1] < 2**20
 
     def test_evaluate_subset_collects_what_stage_held(self):
         ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
