@@ -72,28 +72,17 @@ and keeps nothing; no plan, sort, Gini or count outlives its evaluator,
 and a batch's counts are those of one-off calls, so a result never
 depends on what was evaluated before or beside it.
 
-An evaluator also remembers each column's lowest weighted Gini at each
-node (``_CutMemo``), because a search repeats most of its split work: a
-GA population converges on overlapping subsets, so the same node meets
-the same column again and again.  It keeps that one value for each node
-of the top ``_MEMO_DEPTH`` levels and each column scored there: where a
-column's cut falls matters only for the column that wins, which ``_grow``
-scores again.  A node is named by its path, the root of split ``s`` and
-then one (parent, winning column, side) step per level.  A node's cut on
-its winning column depends only on the node's rows and that column
-(RainForest, Gehrke, Ramakrishnan & Ganti, VLDB 1998: a node's best split
-on an attribute needs only that node's rows of the attribute), so a path
-fixes the node's rows and a kept value is exact wherever the node grows
-again.  At a kept level ``_grow`` looks up every (open node, grid column)
-pair, scores only the misses, each as a one-column segment, with the same
-``_best_cuts``, and decides as at any other level, so every tree is
-unchanged.  In seeded colon-like searches (``make_planted(22, 40, 2000,
-20, 1.2)``, seeds 42-44) only 1.2-1.3% of the root's scan work and
-7.7-8.6% of level 1's is new, and those two levels hold 60-70% of all
-scan work; 17-19% of level 2's and 34-50% of level 3's is new.  The gain
-rests on that repetition, about 86-89% of a colon-like search's scan
-work: ``fit_tree``, subsets too wide to batch and one-off
-``evaluate_subset`` calls repeat none and grow without the memo.
+An evaluator also scores each column's root level once, when ``_keep``
+sorts the column, and keeps the column's lowest weighted Gini at the root
+of every split beside its sort.  A root's rows are its split's train rows
+in every forest, so a kept sort is already the column's root order on
+every split, as in SLIQ's presort, and a forest of narrow subsets takes
+its columns' rows of the kept Ginis in place of its root level's scan.  A
+root's left and right code sums are exact integers in any batch, so a
+kept value is bit-identical to the one the scan gives, and each root
+splits by the same tie rule as any other node.  Every later level is
+scanned.  ``fit_tree``, subsets too wide to batch and one-off
+``evaluate_subset`` calls keep nothing and scan every level.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -226,30 +215,34 @@ def _sort_columns(
 
 
 def _cut_gini(
-    code: np.ndarray,
-    size: np.ndarray,
-    starts: np.ndarray,
-    node_of: np.ndarray,
-    node_code: np.ndarray,
-    table: np.ndarray | None,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The weighted Gini of every cut of a level's open nodes, as a
-    function of (rows x positions) blocks of ``order`` and ``ranks``: inf
-    at a cut between equal values (equal ranks) or past a node's last row.
-    Cut ``i`` lies after position ``i``.
+    y: np.ndarray, n: int, size: np.ndarray, ones: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The set-up of a level of open nodes in fits of ``n`` train rows:
+    each node's first position, the node of each position, and the
+    weighted Gini of every cut as a function of (rows x positions) blocks
+    of ``order`` and ``ranks``, inf at a cut between equal values (equal
+    ranks) or past a node's last row.  Cut ``i`` lies after position
+    ``i``.  ``y`` is the label of each stacked row, ``size`` and ``ones``
+    each node's rows and class-1 rows, all of the integer type that every
+    position, cut and code sum takes.
 
-    ``order`` holds the stacked row ids of each column's positions and
-    ``code`` the code of each stacked row; ``node_code`` is the sum of
-    each node's codes.  A running sum of codes less the codes of the nodes
-    before is the code of a cut's left child, and ``node_code`` less that
-    the code of its right child: a flat table index, or without a table
-    the class-1 count, from which the formula computes the term with
-    counts carried as exact float64.
+    ``order`` holds the stacked row ids of each column's positions.  Codes
+    are label + ``stride``: a node's running sum over its first ``i`` rows
+    is ``i * stride + ones``, the flat table index of a left child of ``i``
+    rows (with ``stride`` 0, and no table, the ones).  A running sum of
+    codes less the codes of the nodes before is the code of a cut's left
+    child, and the node's sum less that the code of its right child; the
+    formula computes a term from counts carried as exact float64.
     """
-    index = node_of.dtype  # of every position, cut and sum array
+    table = _table_for(n) if n <= GINI_TABLE_MAX_ROWS else None
+    stride = 0 if table is None else n + 1
+    code = y + stride
+    index = y.dtype
+    starts = size.cumsum(dtype=index) - size
+    node_of = np.repeat(np.arange(len(size), dtype=index), size)
     of = node_of[:-1]  # node of each cut
     inside = of == node_of[1:]  # the cut after a node's last row leaves it
-    node_code = node_code.astype(index, copy=False)
+    node_code = size * stride + ones
     code_end = node_code.cumsum(dtype=index).take(of)
     code_before = code_end - node_code.take(of)
     node_size = size.take(of)
@@ -268,7 +261,7 @@ def _cut_gini(
         cut &= inside
         return np.where(cut, gini, np.inf)
 
-    return weighted
+    return starts, node_of, weighted
 
 
 def _best_cuts(
@@ -277,8 +270,8 @@ def _best_cuts(
 ) -> np.ndarray:
     """(columns x nodes) lowest weighted Gini of each open node on each
     column of ``order`` and ``ranks``, inf where the column is constant on
-    the node; ``weighted`` is the level's ``_cut_gini``, applied to blocks
-    of ``width`` columns."""
+    the node; ``weighted``, the level's kernel from ``_cut_gini``, is
+    applied to blocks of ``width`` columns."""
     lowest = np.empty((len(order), len(starts)))
     for start in range(0, len(order), width):
         block = slice(start, start + width)
@@ -289,139 +282,41 @@ def _best_cuts(
 # The two children of a parent, as rows of a (2 x parents) grid.
 _SIDES = np.array([[0], [1]], dtype=np.int8)
 
-# Levels of a fitness tree whose per-column lowest Gini an evaluator keeps.
-# Measured on the seeded colon-like search (make_planted(22, 40, 2000, 20,
-# 1.2), PipelineConfig(seed=7)), seeds 42 / 44: keeping 1, 2, 3 or 4
-# levels holds 0.02, 0.18 / 0.21, 0.53 / 0.70 or 0.89 / 1.25 MB.  With a
-# left size kept beside each Gini, those levels raised the search's
-# tracemalloc heap peak (2.65 / 2.67 MB without) by 0.10, 0.28 / 0.23,
-# 0.48 / 0.83 or 0.85 / 1.48 MB, and seed-42 search CPU time (median of
-# per-process minimums, two sets of 5-6 interleaved processes) was 10-30%
-# below none at 2 levels and 18% below at 3, equal within the host's
-# noise, so 2 keeps the gain at a third of the memory.
-_MEMO_DEPTH = 2
-
-
-class _CutMemo:
-    """The lowest weighted Gini of each column at each node of an
-    evaluator's trees, for the top ``depth`` levels; tree ``t`` of a forest
-    grows on split ``t % n_splits``.
-
-    A node is named by its path: node ``s`` is the root of split ``s``, and
-    the child on ``side`` (0 left, 1 right) of node ``p`` cut on column
-    ``c`` is ``(p * m + c) * 2 + side``.  The parent's cut on its winning
-    column is that column's first cut of lowest weighted Gini, which
-    depends only on the parent's rows and the column, so a path fixes the
-    node's rows, and a value kept for a node holds wherever the node grows
-    again.  Per level, arrays sorted by key ``node * m + column`` hold the
-    column's lowest weighted Gini at the node (inf if the column is
-    constant there); a key past every key closes them, so a lookup never
-    runs off the end.
-    """
-
-    def __init__(self, n_splits: int, m: int):
-        self.n_splits, self.m = n_splits, m
-        # the deepest keys, below n_splits * (2m)**(depth - 1) * m, must fit int64
-        self.depth = 0
-        while self.depth < _MEMO_DEPTH and n_splits * (2 * m) ** self.depth * m < 2**63:
-            self.depth += 1
-        self.levels = [(np.array([np.iinfo(np.int64).max]), np.full(1, np.inf))] * self.depth  # keys, Gini
-
-    def misses(self, level: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(grid column, open node) of the pairs of ``level`` not yet kept,
-        in key order, one per distinct key; ``keys`` is (columns x nodes)."""
-        held = self.levels[level][0]
-        miss = held.take(held.searchsorted(keys)) != keys
-        _, first = np.unique(keys[miss], return_index=True)
-        return np.divmod(np.flatnonzero(miss).take(first), keys.shape[1])
-
-    def fill(
-        self, level: int, keys: np.ndarray, column: np.ndarray, node: np.ndarray, scored: np.ndarray
-    ) -> np.ndarray:
-        """Keep the Gini ``scored`` for ``misses``' pairs (``column``,
-        ``node``), then give the kept Gini of every key of ``level``."""
-        held, kept = self.levels[level]
-        if len(node):
-            new = keys[column, node]
-            spot = held.searchsorted(new)
-            held, kept = self.levels[level] = np.insert(held, spot, new), np.insert(kept, spot, scored)
-        return kept.take(held.searchsorted(keys))
-
-
-def _column_cuts(
-    code: np.ndarray,
-    order: np.ndarray,
-    ranks: np.ndarray,
-    size: np.ndarray,
-    starts: np.ndarray,
-    node_code: np.ndarray,
-    table: np.ndarray | None,
-    column: np.ndarray,
-    node: np.ndarray,
-    block: int,
-) -> np.ndarray:
-    """Lowest weighted Gini of each open node ``node[i]`` on its grid
-    column ``column[i]`` alone.  ``_best_cuts`` scores each pair as a
-    one-column segment, the node's positions in the column's row of
-    ``order`` and ``ranks``, about ``block`` cells per call."""
-    if not len(node):  # every pair is kept
-        return np.empty(0)
-    size, node_code = size.take(node), node_code.take(node)
-    ends = size.cumsum()
-    bounds = [0, *(np.flatnonzero(np.diff((ends - 1) // block)) + 1).tolist(), len(node)]
-    gini = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        seg_size, seg_code = size[lo:hi], node_code[lo:hi]
-        cells = int(seg_size.sum())
-        # positions and code sums stay below the summed codes
-        index = np.int32 if max(cells, int(seg_code.sum(dtype=np.int64))) < 2**31 else np.intp
-        seg_size = seg_size.astype(index)
-        seg_start = seg_size.cumsum(dtype=index) - seg_size
-        take = np.repeat(column[lo:hi] * order.shape[1] + starts.take(node[lo:hi]) - seg_start, seg_size)
-        take += np.arange(cells, dtype=take.dtype)
-        node_of = np.repeat(np.arange(hi - lo, dtype=index), seg_size)
-        weighted = _cut_gini(code, seg_size, seg_start, node_of, seg_code, table)
-        gini.append(_best_cuts(weighted, order.take(take)[None], ranks.take(take)[None], seg_start, 1)[0])
-    return np.concatenate(gini)
-
 
 def _grow(
     values: np.ndarray,
     labels: np.ndarray,
     grid: np.ndarray,
     train: np.ndarray,
-    presorted: tuple[np.ndarray, np.ndarray] | None = None,
-    memo: _CutMemo | None = None,
+    kept: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> _Forest:
     """Grow one tree per row of ``train`` (row ids of ``values`` and
     ``labels``, one split per row, all of one size) on the same row of the
     (trees x k) column ``grid``, all trees one level per step.  Either
     every root is open (both classes among at least 2 rows) or none is:
     ``fit_tree`` grows one root, and ``stratified_split`` puts both classes
-    in every train set.  ``presorted``, if given, is ``_sort_columns``'
-    output for ``grid.T`` and these rows, in fresh arrays: they are
-    overwritten.
+    in every train set.  ``kept``, if given, is ``_sort_columns``' output
+    for ``grid.T`` and these rows, in fresh arrays that are overwritten,
+    and the (k x trees) lowest Gini of each root on each grid column.
 
     The open nodes of a level lie side by side: in every column's row
     order a node is one segment, at the same positions in every column,
     its rows sorted by that column.  One pass over a block of columns
-    gives every node's lowest Gini on each column, read from ``memo``
-    where it holds them; each node's winning column is scored again for
-    its cut, its order sends the node's rows to its children, and the
-    rows of open children are regrouped, in their sorted order, for the
-    next level.
+    gives every node's lowest Gini on each column, or the kept roots stand
+    in for the root level's pass; each node's winning column is scored
+    again for its cut, its order sends the node's rows to its children,
+    and the rows of open children are regrouped, in their sorted order,
+    for the next level.
     A level only records its nodes, winners and cut rows; the node arrays
     are written for all levels at once, after the last.
     """
     n_splits, n = train.shape
     k = grid.shape[1]
     rows = train.ravel()  # stacked row -> row of values
-    table = _table_for(n) if n <= GINI_TABLE_MAX_ROWS else None
-    stride = 0 if table is None else n + 1
     width = max(1, _BLOCK // n_splits)  # columns per block: at most _BLOCK (column, tree) pairs
     # Positions, cuts, flat (column, position) indices and code sums stay
-    # below max(k, stride + 1) * stacked rows: int32 where that fits.
-    index = np.int32 if max(k, stride + 1) * len(rows) < 2**31 else np.intp
+    # below max(k, n + 2) * stacked rows: int32 where that fits.
+    index = np.int32 if max(k, n + 2) * len(rows) < 2**31 else np.intp
     y = labels.take(rows).astype(index)
     size = np.full(n_splits, n, dtype=index)
     ones = y.reshape(n_splits, n).sum(axis=1, dtype=index)
@@ -431,37 +326,22 @@ def _grow(
         return _Forest(np.full(n_splits, -1), np.full(n_splits, np.inf), leaves, root_prediction, 0)
 
     values = np.ascontiguousarray(values)  # cells are read by flat index
-    # Codes are label + ``stride``: a node's running sum over its first
-    # ``i`` rows is ``i * stride + ones``, the flat table index of a left
-    # child of ``i`` rows (with ``stride`` 0, the ones).
-    code = y + stride
-    buffers = _sort_columns(values, rows, grid.T, n, width) if presorted is None else presorted
+    if kept is None:
+        buffers, roots = _sort_columns(values, rows, grid.T, n, width), None
+    else:
+        buffers, roots = kept[:2], kept[2]
     # a level's (k x positions) tables of row ids and ranks sit at the buffers' front
     side = np.zeros(len(rows), dtype=np.int8)  # per stacked row: 0 left, 1 right, 2 closed
     node = np.arange(n_splits)  # node ids of the open nodes, in layout order
     n_nodes = n_splits
     levels = []  # per level: nodes, winning columns, cut rows, child sizes and ones, splits
-    # the memo's ids of the open nodes, while their level is kept
-    ids = None if memo is None or not memo.depth else np.arange(n_splits, dtype=np.int64) % memo.n_splits
-    level = 0
 
     while len(node):
         positions = np.arange(size.sum(), dtype=index)
         order, ranks = (b[: k * len(positions)].reshape(k, -1) for b in buffers)
-        starts = size.cumsum(dtype=index) - size
-        node_of = np.repeat(np.arange(len(node), dtype=index), size)  # node of each position
-        node_code = size * stride + ones
-        weighted = _cut_gini(code, size, starts, node_of, node_code, table)
-        if ids is None:
-            gini = _best_cuts(weighted, order, ranks, starts, width)
-        else:
-            tree = order[0].take(starts) // n  # a node's first stacked row names its tree
-            keys = ids * memo.m + grid.take(tree, axis=0).T
-            missed = memo.misses(level, keys)
-            scored = _column_cuts(
-                code, order, ranks, size, starts, node_code, table, *missed, width * len(positions)
-            )
-            gini = memo.fill(level, keys, *missed, scored)
+        starts, node_of, weighted = _cut_gini(y, n, size, ones)
+        gini = _best_cuts(weighted, order, ranks, starts, width) if roots is None else roots
+        roots = None  # only the root level is kept
         # The split rule: a node splits on its earliest column of lowest
         # weighted Gini, at that column's first cut of that value.
         best_column = gini.argmin(axis=0).astype(index)
@@ -488,11 +368,6 @@ def _grow(
         first_child = n_nodes - 2 + 2 * splits.cumsum()
         n_nodes += 2 * int(np.count_nonzero(splits))
         child_open = _is_open(child_size, child_ones) & splits
-        level += 1
-        if ids is not None and level < memo.depth:
-            ids = ((ids * memo.m + grid[tree, best_column]) * 2 + _SIDES)[child_open]
-        else:
-            ids = None
         side[winner] = np.where(child_open, _SIDES, 2).take(goes_right * len(node) + node_of)
         _regroup(buffers, side, k, width, len(positions))
         node = (first_child + _SIDES)[child_open]
@@ -641,23 +516,22 @@ def _subset_grid(subsets, m: int) -> np.ndarray:
 class Evaluator:
     """The repeated-holdout protocol of one run: its split plans, built
     once (split k has seed ``base_seed + k``), the sort of each column
-    under every train split, made the first time a narrow subset asks for
-    the column and kept, each column's lowest weighted Gini, and only
-    that, at the top-level nodes of its narrow subsets' trees (``memo``),
-    and the counts ``stage`` scored and ``evaluate_subset`` has not yet
-    collected.  Its trees follow the module's tie rule whatever was kept,
-    so each is the tree a one-off call grows; a one-off call
+    under every train split and the column's lowest weighted Gini at each
+    split's root, made the first time a narrow subset asks for the column
+    and kept, and the counts ``stage`` scored and ``evaluate_subset`` has
+    not yet collected.  Its trees follow the module's tie rule whatever
+    was kept, so each is the tree a one-off call grows; a one-off call
     (``evaluate_subset`` without an evaluator) grows its subset alone and
     keeps nothing.
 
-    The sort tables are ``_sort_columns``' output, one row of
-    ``n_splits * n_train`` stacked row ids and ranks per column,
-    in the order the columns were first asked for; each sort appends its
-    rows, so only columns in use are held.  Only narrow subsets
-    (``len(features) * n_splits <= _BLOCK``) read them; wider subsets sort
-    their own columns and keep nothing.  An evaluator serves only the data
-    and split settings it was built from: ``check`` raises ``ValueError``
-    on others.
+    The kept ``tables`` are ``_sort_columns``' output, one row of
+    ``n_splits * n_train`` stacked row ids and ranks per column, and
+    ``_keep``'s row of ``n_splits`` root Ginis per column, in the order the
+    columns were first asked for; each sort appends its rows, so only
+    columns in use are held.  Only narrow subsets (``len(features) *
+    n_splits <= _BLOCK``) read them; wider subsets sort their own columns
+    and keep nothing.  An evaluator serves only the data and split
+    settings it was built from: ``check`` raises ``ValueError`` on others.
     """
 
     def __init__(
@@ -675,7 +549,6 @@ class Evaluator:
         self.tables: tuple[np.ndarray, ...] = ()
         # column tuple -> per-split [TN, FP, FN, TP], held until collected
         self.staged: dict[tuple[int, ...], list[list[int]]] = {}
-        self.memo = _CutMemo(n_splits, matrix.m)
 
     def check(self, matrix: FeatureMatrix, labels: LabelVector, **settings) -> None:
         """Raise ``ValueError`` unless a call names the data and split
@@ -719,11 +592,11 @@ class Evaluator:
             self._keep(np.unique(grid[slots < 0]))
             slots = self.slot.take(grid)
         batch, (n_splits, n) = len(grid), self.train.shape
-        order, ranks = (table.take(slots.T, axis=0) for table in self.tables)
+        order, ranks, roots = (table.take(slots.T, axis=0) for table in self.tables)
         order += np.arange(0, batch * n_splits * n, n_splits * n, dtype=order.dtype)[:, None]
         forest = _grow(
             self.values, self.labels, grid.repeat(n_splits, axis=0), np.tile(self.train, (batch, 1)),
-            (order.ravel(), ranks.ravel()), self.memo,
+            (order.ravel(), ranks.ravel(), roots.reshape(len(roots), -1)),
         )
         predicted = _route(forest, self.values, np.tile(self.test, (batch, 1)))
         counts = _confusion_rows(np.tile(self.test_labels, (batch, 1)), predicted)
@@ -742,12 +615,16 @@ class Evaluator:
         return _confusion_rows(self.test_labels, np.concatenate(predicted))
 
     def _keep(self, columns: np.ndarray) -> None:
-        """Sort distinct, not yet sorted ``columns`` and append their tables."""
+        """Sort distinct, not yet sorted ``columns``, score their roots on
+        every split, and append their tables."""
         n_splits, n = self.train.shape
-        values = np.ascontiguousarray(self.values)
-        new = _sort_columns(values, self.train.ravel(), columns[:, None], n, max(1, _BLOCK // n_splits))
+        rows, width = self.train.ravel(), max(1, _BLOCK // n_splits)
+        sorts = _sort_columns(np.ascontiguousarray(self.values), rows, columns[:, None], n, width)
+        order, ranks = (table.reshape(len(columns), -1) for table in sorts)
+        y = self.labels.take(rows)
+        starts, _, weighted = _cut_gini(y, n, np.full(n_splits, n), y.reshape(n_splits, n).sum(axis=1))
+        new = order, ranks, _best_cuts(weighted, order, ranks, starts, width)
         self.slot[columns] = self.slot.max() + 1 + np.arange(len(columns))
-        new = tuple(table.reshape(len(columns), -1) for table in new)
         self.tables = tuple(map(np.concatenate, zip(self.tables, new))) if self.tables else new
 
 
@@ -765,7 +642,7 @@ def evaluate_subset(
     Split k uses seed ``base_seed + k``, so the same arguments always yield
     the same value; this is the fitness the optimizer maximizes.
     ``evaluator``, an ``Evaluator`` built for these arguments, lends the
-    split plans, column sorts and kept Ginis of earlier calls, and the
+    split plans, column sorts and root Ginis of earlier calls, and the
     counts its ``stage`` scored for these features, which this call
     collects; without it the subset grows alone and nothing is kept.  The
     result is the same either way.

@@ -187,6 +187,17 @@ def oracle_weighted_gini(left_n, left_ones, n, ones):
     return (left_n * gini_left + right_n * gini_right) / n
 
 
+def oracle_lowest_gini(x, y):
+    """Lowest weighted Gini over one column's cuts, inf for a constant column."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    cut = np.flatnonzero(xs[:-1] < xs[1:])
+    if len(cut) == 0:
+        return np.inf
+    ones_cum = np.cumsum(y[order])
+    return oracle_weighted_gini(cut + 1, ones_cum[cut], len(y), ones_cum[-1]).min()
+
+
 def _oracle_best_split(x, y):
     """(threshold, weighted Gini) of one column's best midpoint, or None
     for a constant column; the ascending sweep keeps the first minimum."""

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,7 +18,9 @@ from dmc_gawar.data import FeatureMatrix, LabelVector, stratified_split
 from dmc_gawar.pipeline import PipelineConfig, build_evaluator, build_stages, search
 from dmc_gawar.synthetic import make_planted, make_xor
 from conftest import random_dataset
-from oracles import oracle_fit_tree, oracle_metrics, oracle_predict, oracle_weighted_gini
+from oracles import (
+    oracle_fit_tree, oracle_lowest_gini, oracle_metrics, oracle_predict, oracle_weighted_gini,
+)
 
 
 def tie_heavy_arrays(rng, n, m, top):
@@ -75,11 +75,11 @@ def evaluation_problems(draw):
 @st.composite
 def batch_problems(draw):
     """(matrix, labels, batches, warm columns, n_splits, test fraction,
-    base seed, block, Gini table bound, memo depth) on
-    ``tie_heavy_arrays`` data: one to three batches of equal-length
-    subsets over at most 8 columns, so columns and whole subsets repeat
-    within and across batches, each batch possibly listing a subset
-    twice, and columns to sort before the first batch."""
+    base seed, block, Gini table bound) on ``tie_heavy_arrays`` data: one
+    to three batches of equal-length subsets over at most 8 columns, so
+    columns and whole subsets repeat within and across batches, each batch
+    possibly listing a subset twice, and columns to sort before the first
+    batch."""
     n = draw(st.integers(10, 60))
     m = draw(st.integers(1, 8))
     top = draw(st.integers(0, 4))
@@ -99,10 +99,9 @@ def batch_problems(draw):
     base_seed = draw(st.integers(0, 1000))
     block = draw(st.integers(1, 7))
     table_max = draw(st.sampled_from([4, 40]))  # 4: every fit of 5 or more rows takes the formula
-    depth = draw(st.sampled_from([1, 2, 3, 8]))
     matrix = FeatureMatrix(x, tuple(f"f{j}" for j in range(m)))
     labels = LabelVector(y, ("a", "b"))
-    return matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max, depth
+    return matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max
 
 
 @st.composite
@@ -269,32 +268,24 @@ class TestTree:
         x, y, sizes, width, table_max = layout
         n, k = x.shape
         index = np.int32
-        starts = (np.cumsum(sizes) - sizes).astype(index)
-        node_of = np.repeat(np.arange(len(sizes), dtype=index), sizes)
+        ones = np.add.reduceat(y, np.cumsum(sizes) - sizes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
+            starts, _, weighted = classifier._cut_gini(
+                y.astype(index), n, sizes.astype(index), ones.astype(index)
+            )
         order = np.concatenate([
             start + np.argsort(x[start : start + size], axis=0, kind="stable")
             for start, size in zip(starts, sizes)
         ]).T.astype(index)
         ranks = np.unique(x, return_inverse=True)[1].reshape(x.shape).T
         ranks = np.take_along_axis(ranks, order, axis=1)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
-            table = classifier._table_for(n) if n <= classifier.GINI_TABLE_MAX_ROWS else None
-        stride = 0 if table is None else n + 1
-        ones = np.add.reduceat(y, starts).astype(index)
-        weighted = classifier._cut_gini(
-            (y + stride).astype(index), sizes.astype(index), starts, node_of, sizes * stride + ones, table
-        )
         got = classifier._best_cuts(weighted, order, ranks, starts, width)
-        want = np.full((k, len(sizes)), np.inf)
-        for j, (start, size) in enumerate(zip(starts, sizes)):
-            for column in range(k):
-                values = x[start : start + size, column]
-                ranked = np.argsort(values, kind="stable")
-                cut = np.flatnonzero(values[ranked][:-1] < values[ranked][1:])
-                if len(cut):
-                    left_ones = np.cumsum(y[start : start + size][ranked])[cut]
-                    want[column, j] = oracle_weighted_gini(cut + 1, left_ones, size, ones[j]).min()
+        want = np.array([
+            [oracle_lowest_gini(x[start : start + size, column], y[start : start + size])
+             for start, size in zip(starts, sizes)]
+            for column in range(k)
+        ])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_deep_tree_grows_without_recursion(self):
@@ -587,13 +578,12 @@ class TestBatch:
         # blocks of 1-7 (column, tree) pairs split a batch over several
         # forests and a forest's columns over several passes; the warm
         # columns sit at scattered table rows before the batch asks for
-        # them; later batches read the best cuts earlier ones kept, which
-        # the one-off calls' fresh evaluators never do
-        matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max, depth = problem
+        # them; later batches read the sorts and roots earlier ones kept,
+        # which the one-off calls' fresh evaluators never do
+        matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max = problem
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
             patch.setattr(classifier, "_BLOCK", block)
-            patch.setattr(classifier, "_MEMO_DEPTH", depth)
             evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
             evaluator.stage(np.array(warm, dtype=int)[:, None])
             evaluator.staged.clear()
@@ -622,59 +612,84 @@ class TestBatch:
                 predicted = oracle_predict(tree, x[test][:, columns])
                 assert (tp, tn, fp, fn) == confusion_counts(y[test], predicted)
 
-    @pytest.mark.parametrize("depth", [None, 64], ids=["default", "every-level"])
-    def test_restaging_scores_no_kept_cut_again(self, monkeypatch, depth):
-        # after one staging every (node, column) of the kept levels is
-        # held, so staging the batch again keeps nothing new and scores no
-        # one-column segment of a miss (a one-row grid); the levels past
-        # the memo still scan their (k x positions) grids, and with every
-        # level kept nothing is scanned at all
-        if depth is not None:
-            monkeypatch.setattr(classifier, "_MEMO_DEPTH", depth)
+    @given(evaluation_problems(), st.sampled_from([4, 200]))
+    def test_kept_roots_match_the_oracle(self, problem, table_max):
+        # the drawn features are kept one at a time, in their drawn order,
+        # so they sit at scattered table rows, and the other columns
+        # together, `block` per pass; a bound of 4 sends every fit of 5 or
+        # more rows to the formula, 200 every fit to the table
+        matrix, labels, features, n_splits, test_fraction, base_seed, block = problem
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
+            patch.setattr(classifier, "_BLOCK", block * n_splits)
+            evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
+            for column in features:
+                evaluator._keep(np.array([column]))
+            rest = np.setdiff1d(np.arange(matrix.m), features)
+            if len(rest):
+                evaluator._keep(rest)
+        roots = evaluator.tables[2]
+        assert roots.shape == (matrix.m, n_splits)
+        for split in range(n_splits):
+            train = list(stratified_split(labels, test_fraction, base_seed + split).train_indices)
+            x, y = matrix.values[train], labels.labels[train]
+            want = np.array([oracle_lowest_gini(x[:, column], y) for column in range(matrix.m)])
+            got = roots[evaluator.slot, split]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_staged_forests_scan_no_root(self, monkeypatch):
+        # _keep scores a column's roots when it sorts the column, so a
+        # staged forest hands _best_cuts only nodes below the roots, each
+        # smaller than a train split; restaging the batch sorts and scores
+        # no root again, and the levels below the roots are still scanned
         ds = make_planted(14, 16, 12, 3, 1.0, seed=9)
         evaluator = Evaluator(ds.matrix, ds.labels, n_splits=5, test_fraction=0.25, base_seed=2)
+        n = evaluator.train.shape[1]
         batch = [(0, 3, 5), (3, 5, 7), (1, 3, 5), (0, 3, 5), (11, 2, 3), (4, 6, 8)]
-        first = stage_in_turn(evaluator, [batch])
-        kept = [len(keys) - 1 for keys, _ in evaluator.memo.levels]
-        assert kept[0] == 5 * 10 and kept[1] > 0  # each root once per distinct column
-        scanned = []
-        best_cuts = classifier._best_cuts
+        sorted_columns, scanned = [], []
+        sort_columns, best_cuts = classifier._sort_columns, classifier._best_cuts
 
-        def counting(weighted, order, *rest):
-            scanned.append(order.shape)
-            return best_cuts(weighted, order, *rest)
+        def sorting(values, rows, columns, *rest):
+            sorted_columns.extend(columns.ravel().tolist())
+            return sort_columns(values, rows, columns, *rest)
 
+        def counting(weighted, order, ranks, starts, width):
+            sizes = np.diff(starts, append=order.shape[1])
+            assert (sizes == n).all() or (sizes < n).all()  # a root level, or none of it
+            scanned.append((len(order), int(sizes[0] == n)))
+            return best_cuts(weighted, order, ranks, starts, width)
+
+        monkeypatch.setattr(classifier, "_sort_columns", sorting)
         monkeypatch.setattr(classifier, "_best_cuts", counting)
+        first = stage_in_turn(evaluator, [batch])
+        assert sorted(sorted_columns) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 11]
+        assert sum(rows for rows, root in scanned if root) == 10  # each column's roots once
+        assert {rows for rows, root in scanned if not root} == {3}  # the forests' levels below
+        tables = evaluator.tables
+        sorted_columns.clear()
+        scanned.clear()
         assert stage_in_turn(evaluator, [batch]) == first
-        assert [len(keys) - 1 for keys, _ in evaluator.memo.levels] == kept
-        assert all(rows == 3 for rows, _ in scanned)
-        if depth:
-            assert scanned == []
-        else:
-            assert scanned  # the levels past the memo
+        assert evaluator.tables is tables
+        assert sorted_columns == []
+        assert scanned and {root for _, root in scanned} == {0}
 
-    def test_a_seeded_search_keeps_under_a_megabyte_of_cuts(self, monkeypatch):
-        # the memo holds the Gini of the top levels only; its arrays and
-        # the heap peak it adds to a search stay under 1 MB.  The first
-        # search in a process peaks about 1 MB higher than later ones, so
-        # a warm-up search runs first and only the last two are compared.
+    def test_kept_roots_hold_one_gini_per_split_of_each_sorted_column(self, monkeypatch):
+        # the roots table adds n_splits float64s per sorted column, and the
+        # seeded search is the one whose subsets all grow alone, sorting
+        # their own columns and scanning their roots
         ds = make_planted(22, 40, 300, 20, 1.2, seed=42)
         config = PipelineConfig(seed=7, stagnation_limit=10)
         stages = build_stages(ds.matrix, ds.labels, config)
-        results, peaks = [], []
-        for depth in (0, 0, classifier._MEMO_DEPTH):
-            monkeypatch.setattr(classifier, "_MEMO_DEPTH", depth)
-            evaluator = build_evaluator(ds.matrix, ds.labels, config)
-            tracemalloc.start()
-            try:
-                results.append(search(ds.matrix, ds.labels, config, stages, evaluator))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert results[0] == results[1] == results[2]
-        held = sum(array.nbytes for level in evaluator.memo.levels for array in level)
-        assert 0 < held < 2**20
-        assert peaks[2] - peaks[1] < 2**20
+        evaluator = build_evaluator(ds.matrix, ds.labels, config)
+        result = search(ds.matrix, ds.labels, config, stages, evaluator)
+        assert evaluator.tables[2].nbytes == np.count_nonzero(evaluator.slot >= 0) * config.n_splits * 8
+        monkeypatch.setattr(classifier, "_BLOCK", config.n_splits * stages.n_var - 1)
+        alone = build_evaluator(ds.matrix, ds.labels, config)
+        assert search(ds.matrix, ds.labels, config, stages, alone) == result
+        assert alone.tables == ()
+        assert (result.best_genes, result.best_fitness, result.nfe) == (
+            (151, 159, 162, 216, 242, 246, 254, 256, 282, 299), 0.9249999999999998, 252
+        )
 
     def test_evaluate_subset_collects_what_stage_held(self):
         ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
