@@ -16,11 +16,7 @@ its own train rows and its own row of a (trees x k) column grid: the ten
 splits of one subset repeat the subset's row, and a batch of subsets
 stacks their rows.  It starts from every (column, tree) sorted once and
 keeps, per grid column, the stacked row ids and value ranks in that
-order; a row's label code is read through its id.  One ``Evaluator`` per
-run sorts a column under the run's train splits the first time a narrow
-subset asks for it and keeps the result, so later batches gather their
-columns' rows of those tables instead of sorting them again; a wider
-subset sorts its own columns.
+order; a row's label code is read through its id.
 The open nodes of a level lie side by side, as segments at the same
 positions in every grid column, each sorted by that tree's column there.
 A running sum of the codes along a block of grid columns, less each
@@ -45,12 +41,6 @@ The trees are flat node arrays: feature, threshold, left child and
 prediction.  The test rows of all trees are routed through them at once,
 one level per step, and ``fit_tree`` is a forest of one tree, converted to
 ``TreeNode``s.  A pass holds at most ``_BLOCK`` (column, tree) pairs.
-``Evaluator.stage`` scores a batch of equal-length subsets: narrow ones
-(``k * n_splits <= _BLOCK``) grow as forests of ``max(1, _BLOCK // (2 *
-n_splits))`` subsets, 12 subsets of ten trees at the defaults, two grid
-columns per pass; a wider subset grows alone, ``max(1, _BLOCK // k)``
-splits per forest, so a fit on thousands of columns grows one tree at a
-time, ``_BLOCK`` columns per pass.
 
 The weighted Gini of a cut depends only on four integers: the left size
 and left ones, the node size and node ones.  A child of ``m`` rows, ``o``
@@ -63,26 +53,24 @@ so every weighted Gini, and with it every tie and every tree, is
 bit-identical to the formula's, which larger fits still evaluate.
 
 One evaluator per run: a run scores thousands of subsets under the same
-few split plans, which its ``Evaluator`` builds once.  Its ``stage`` holds
-each subset's per-split confusion counts until ``evaluate_subset``
-collects them; ``evaluate_subset`` stages a subset nobody staged as a
-batch of one.  ``evaluate_subset`` without an evaluator builds the split
-plans and grows the subset alone, each forest sorting its own columns,
-and keeps nothing; no plan, sort, Gini or count outlives its evaluator,
-and a batch's counts are those of one-off calls, so a result never
-depends on what was evaluated before or beside it.
+few split plans, which its ``Evaluator`` builds once.  ``Evaluator.counts``
+is the one scorer of subsets: a batch's trees grow as consecutive forests,
+12 narrow subsets of ten trees per forest at the defaults, or one tree
+per forest on thousands of columns.  ``stage`` holds each subset's counts
+until ``evaluate_subset`` collects them; ``evaluate_subset`` without an
+evaluator scores its subset on an evaluator of its own and drops it.  No
+plan, sort, Gini or count outlives its evaluator, and a subset's counts do
+not depend on what was scored before or beside it.
 
-An evaluator also scores each column's root level once, when ``_keep``
-sorts the column, and keeps the column's lowest weighted Gini at the root
-of every split beside its sort.  A root's rows are its split's train rows
-in every forest, so a kept sort is already the column's root order on
-every split, as in SLIQ's presort, and a forest of narrow subsets takes
-its columns' rows of the kept Ginis in place of its root level's scan.  A
-root's left and right code sums are exact integers in any batch, so a
-kept value is bit-identical to the one the scan gives, and each root
-splits by the same tie rule as any other node.  Every later level is
-scanned.  ``fit_tree``, subsets too wide to batch and one-off
-``evaluate_subset`` calls keep nothing and scan every level.
+An evaluator sorts a column under the run's train splits the first time a
+narrow subset (``k * n_splits <= _BLOCK``) asks for it and scores the
+column's root on every split then, and keeps both; later batches gather
+their columns' rows of those tables.  A root's rows are its split's train
+rows in every forest, so a kept sort is the column's root order on every
+split, as in SLIQ's presort, and a kept root Gini is bit-identical to the
+scan's, as a root's code sums are exact integers.  Every later level is
+scanned; ``fit_tree`` and wider subsets sort their own columns, scan
+every level and keep nothing.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -400,14 +388,27 @@ def _grow(
     return _Forest(feature, threshold, left, prediction, len(levels))
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """``x`` as float64, if every value is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must hold only finite values")
+    return x
+
+
+def _binary(codes: np.ndarray, name: str) -> np.ndarray:
+    """``codes`` as ints, if every one is exactly 0 or 1."""
+    codes = np.asarray(codes)
+    if not ((codes == 0) | (codes == 1)).all():
+        raise ValueError(f"{name} must be coded 0/1")
+    return codes.astype(int)
+
+
 def fit_tree(x: np.ndarray, y: np.ndarray) -> TreeNode:
     """Grow the full tree; stops at purity, <2 samples, or constant columns."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
+    x, y = _finite(x), _binary(y, "y")
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("x must be 2-D with one row per label")
-    if y.min(initial=0) < 0 or y.max(initial=0) > 1:
-        raise ValueError("y must be coded 0/1")
     forest = _grow(x, y, np.arange(x.shape[1])[None], np.arange(len(y))[None])
     feature, threshold, left = forest.feature.tolist(), forest.threshold.tolist(), forest.left.tolist()
     nodes = [_LEAVES[p] for p in forest.prediction.tolist()]
@@ -425,7 +426,7 @@ def predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
     Each test reads one value as a Python float (``item``), which is cheaper
     than numpy scalar indexing and converts no column the tree leaves unused.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite(x)
     out = np.empty(len(x), dtype=int)
     for i in range(len(x)):
         cursor = node
@@ -437,10 +438,7 @@ def predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
 
 def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, int]:
     """(TP, TN, FP, FN) of labels coded 0/1, class 1 positive."""
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
-    if ((y_true | y_pred) >> 1).any():  # nonzero for any value but 0 and 1
-        raise ValueError("labels and predictions must be coded 0/1")
+    y_true, y_pred = _binary(y_true, "labels"), _binary(y_pred, "predictions")
     ((tn, fp, fn, tp),) = _confusion_rows(y_true[None], y_pred[None])
     return tp, tn, fp, fn
 
@@ -493,7 +491,8 @@ class ClassificationMetrics:
 def _route(forest: _Forest, values: np.ndarray, test: np.ndarray) -> np.ndarray:
     """Class of each row of ``test`` (row ids of ``values``, one split of
     the forest per row), all trees at once, one level per step.  Values
-    are finite, so ``>`` sends exactly the rows ``predict`` sends right."""
+    are finite, as a ``FeatureMatrix`` holds only finite values, so ``>``
+    sends exactly the rows ``predict`` (which rejects others) sends right."""
     node = np.repeat(np.arange(len(test)), test.shape[1])
     rows = test.ravel()
     column = np.maximum(forest.feature, 0)  # a leaf tests any column against inf
@@ -519,19 +518,18 @@ class Evaluator:
     under every train split and the column's lowest weighted Gini at each
     split's root, made the first time a narrow subset asks for the column
     and kept, and the counts ``stage`` scored and ``evaluate_subset`` has
-    not yet collected.  Its trees follow the module's tie rule whatever
-    was kept, so each is the tree a one-off call grows; a one-off call
-    (``evaluate_subset`` without an evaluator) grows its subset alone and
-    keeps nothing.
+    not yet collected.  ``counts`` scores every subset; its trees follow
+    the module's tie rule whatever was kept, so a subset's counts are the
+    same on a fresh evaluator.
 
     The kept ``tables`` are ``_sort_columns``' output, one row of
     ``n_splits * n_train`` stacked row ids and ranks per column, and
     ``_keep``'s row of ``n_splits`` root Ginis per column, in the order the
     columns were first asked for; each sort appends its rows, so only
     columns in use are held.  Only narrow subsets (``len(features) *
-    n_splits <= _BLOCK``) read them; wider subsets sort their own columns
-    and keep nothing.  An evaluator serves only the data and split
-    settings it was built from: ``check`` raises ``ValueError`` on others.
+    n_splits <= _BLOCK``) read them.  An evaluator serves only the data
+    and split settings it was built from: ``check`` raises ``ValueError``
+    on others.
     """
 
     def __init__(
@@ -564,55 +562,50 @@ class Evaluator:
     def stage(self, subsets) -> None:
         """Score a batch of equal-length subsets (column ids, in order) and
         hold each one's per-split counts, keyed by its column tuple, until
-        ``evaluate_subset`` collects them.
-
-        Narrow subsets grow as forests of ``max(1, _BLOCK // (2 *
-        n_splits))`` subsets: a forest's trees fill a pass of two columns,
-        so a pass holds at most ``_BLOCK`` (column, tree) pairs and a
-        forest's level-wide arrays stay small.  Wider subsets grow one at a
-        time.
-        """
+        ``evaluate_subset`` collects them."""
         grid = _subset_grid(subsets, len(self.slot))
-        n_splits, k = len(self.train), grid.shape[1]
-        if k and k * n_splits <= _BLOCK:
-            chunk = max(1, _BLOCK // (2 * n_splits))
-            parts = (self._together(grid[start : start + chunk]) for start in range(0, len(grid), chunk))
-            counts = [held for part in parts for held in part]
-        else:
-            counts = [self._alone(features) for features in grid]
-        self.staged.update(zip(map(tuple, grid.tolist()), counts))
+        self.staged.update(zip(map(tuple, grid.tolist()), self.counts(grid)))
 
-    def _together(self, grid: np.ndarray) -> list[list[list[int]]]:
-        """Per-split counts of narrow subsets, grown as one forest: the
-        kept tables' rows of each subset's columns, gathered straight into
-        (column, subset, stacked row) order, with subset b's stacked rows
-        offset by ``b * n_splits * n_train``."""
-        slots = self.slot.take(grid)
-        if (slots < 0).any():
-            self._keep(np.unique(grid[slots < 0]))
+    def counts(self, grid: np.ndarray) -> list[list[list[int]]]:
+        """Per-split [TN, FP, FN, TP] of each subset of a (subsets x k)
+        ``grid`` of column ids.  The batch's trees, in (subset, split)
+        order, grow as consecutive forests.  Narrow subsets (``k * n_splits
+        <= _BLOCK``) read the kept tables, ``max(1, _BLOCK // (2 *
+        n_splits))`` whole subsets per forest, so a pass of two columns
+        holds at most ``_BLOCK`` (column, tree) pairs; subset b of a forest
+        has its stacked rows offset by ``b * n_splits * n_train``.  Wider
+        subsets sort their own columns, ``max(1, _BLOCK // k)`` trees per
+        forest, which may hold trees of two subsets."""
+        (batch, k), (n_splits, n) = grid.shape, self.train.shape
+        if not batch:
+            return []
+        narrow = 0 < k * n_splits <= _BLOCK
+        if narrow:
             slots = self.slot.take(grid)
-        batch, (n_splits, n) = len(grid), self.train.shape
-        order, ranks, roots = (table.take(slots.T, axis=0) for table in self.tables)
-        order += np.arange(0, batch * n_splits * n, n_splits * n, dtype=order.dtype)[:, None]
-        forest = _grow(
-            self.values, self.labels, grid.repeat(n_splits, axis=0), np.tile(self.train, (batch, 1)),
-            (order.ravel(), ranks.ravel(), roots.reshape(len(roots), -1)),
-        )
-        predicted = _route(forest, self.values, np.tile(self.test, (batch, 1)))
-        counts = _confusion_rows(np.tile(self.test_labels, (batch, 1)), predicted)
-        return [counts[b : b + n_splits] for b in range(0, len(counts), n_splits)]
-
-    def _alone(self, features: np.ndarray) -> list[list[int]]:
-        """Per-split counts of one subset, ``max(1, _BLOCK // k)`` splits
-        per forest, each forest sorting its own columns."""
-        group = max(1, _BLOCK // max(len(features), 1))
+            if (slots < 0).any():
+                self._keep(np.unique(grid[slots < 0]))
+                slots = self.slot.take(grid)
+            per_forest = n_splits * max(1, _BLOCK // (2 * n_splits))
+        else:
+            per_forest = max(1, _BLOCK // max(k, 1))
+        subset, split = np.divmod(np.arange(batch * n_splits), n_splits)
         predicted = []
-        for k in range(0, len(self.train), group):
-            train = self.train[k : k + group]
-            columns = np.broadcast_to(features, (len(train), len(features)))  # the same in every tree
-            forest = _grow(self.values, self.labels, columns, train)
-            predicted.append(_route(forest, self.values, self.test[k : k + group]))
-        return _confusion_rows(self.test_labels, np.concatenate(predicted))
+        for start in range(0, batch * n_splits, per_forest):
+            trees = slice(start, start + per_forest)
+            kept = None
+            if narrow:
+                chunk = slots[start // n_splits : (start + per_forest) // n_splits].T
+                order, ranks, roots = (table.take(chunk, axis=0) for table in self.tables)
+                order += np.arange(0, order.shape[1] * n_splits * n, n_splits * n, dtype=order.dtype)[:, None]
+                kept = order.ravel(), ranks.ravel(), roots.reshape(k, -1)
+            rows = subset[trees]
+            # one subset's trees share its row: no copy of thousands of
+            # column ids per wide forest, which raised the peak heap
+            columns = np.broadcast_to(grid[rows[0]], (len(rows), k)) if rows[0] == rows[-1] else grid[rows]
+            forest = _grow(self.values, self.labels, columns, self.train[split[trees]], kept)
+            predicted.append(_route(forest, self.values, self.test[split[trees]]))
+        counts = _confusion_rows(np.tile(self.test_labels, (batch, 1)), np.concatenate(predicted))
+        return [counts[b : b + n_splits] for b in range(0, len(counts), n_splits)]
 
     def _keep(self, columns: np.ndarray) -> None:
         """Sort distinct, not yet sorted ``columns``, score their roots on
@@ -644,17 +637,18 @@ def evaluate_subset(
     ``evaluator``, an ``Evaluator`` built for these arguments, lends the
     split plans, column sorts and root Ginis of earlier calls, and the
     counts its ``stage`` scored for these features, which this call
-    collects; without it the subset grows alone and nothing is kept.  The
+    collects, staging them first if nobody did.  Without it the call
+    scores the subset on an evaluator of its own, which it drops.  The
     result is the same either way.
     """
-    (features,) = _subset_grid(np.asarray(features)[None], matrix.m)
+    grid = _subset_grid(np.asarray(features)[None], matrix.m)
     if evaluator is None:
-        counts = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)._alone(features)
+        (counts,) = Evaluator(matrix, labels, n_splits, test_fraction, base_seed).counts(grid)
     else:
         evaluator.check(matrix, labels, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed)
-        key = tuple(features.tolist())
+        key = tuple(grid[0].tolist())
         if key not in evaluator.staged:
-            evaluator.stage(features[None])
+            evaluator.stage(grid)
         counts = evaluator.staged.pop(key)
     per_split = [ClassificationMetrics.from_counts(tp, tn, fp, fn) for tn, fp, fn, tp in counts]
     mean_overall = float(np.mean([m.overall for m in per_split]))

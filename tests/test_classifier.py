@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dmc_gawar import classifier
@@ -298,9 +298,20 @@ class TestTree:
         assert np.array_equal(predict(tree, x), y)
         assert np.array_equal(predict(tree, x + 0.25), y)
 
-    def test_labels_must_be_binary(self):
+    @pytest.mark.parametrize("y", [[0, 2, 1], [0, 0.5, 1], [0, np.nan, 1], [-1, 0, 1]])
+    def test_labels_must_be_binary(self, y):
         with pytest.raises(ValueError, match="0/1"):
-            fit_tree(np.zeros((3, 1)), np.array([0, 2, 1]))
+            fit_tree(np.zeros((3, 1)), np.array(y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_values_must_be_finite(self, bad):
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        tree = fit_tree(x, np.array([0, 0, 1, 1]))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_tree(x, np.array([0, 0, 1, 1]))
+        with pytest.raises(ValueError, match="finite"):
+            predict(tree, x)
 
     def test_equal_columns_across_blocks_prefer_earlier_block(self):
         rng = np.random.default_rng(11)
@@ -370,7 +381,8 @@ class TestMetrics:
 
     @pytest.mark.parametrize(
         "y_true, y_pred",
-        [([0, 1], [2, 1]), ([1, 0], [-1, 0]), ([3, 0], [1, 0]), ([0, -2], [0, 0])],
+        [([0, 1], [2, 1]), ([1, 0], [-1, 0]), ([3, 0], [1, 0]), ([0, -2], [0, 0]),
+         ([0.5, 1.0], [0, 1]), ([0, 1], [0, 0.9]), ([np.nan, 1], [0, 1])],
     )
     def test_confusion_counts_reject_values_other_than_zero_and_one(self, y_true, y_pred):
         with pytest.raises(ValueError, match="0/1"):
@@ -510,20 +522,6 @@ class TestEvaluate:
         got = evaluate_subset(matrix, labels, np.array([3, 2]), 4, 0.25, 5, evaluator=evaluator)
         assert got == evaluate_subset(ds.matrix, ds.labels, np.array([3, 2]), 4, 0.25, 5)
 
-    def test_a_narrow_one_off_call_keeps_nothing(self, monkeypatch):
-        # without an evaluator a subset grows alone on its own column
-        # sorts: no sort table is kept and no batch is staged
-        ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
-        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.2, base_seed=7)
-        want = evaluate_subset(ds.matrix, ds.labels, np.array([3, 1, 4]), 4, 0.2, 7, evaluator=evaluator)
-
-        def unreachable(self, *args):
-            raise AssertionError("a one-off call kept sorts or staged a batch")
-
-        monkeypatch.setattr(Evaluator, "_keep", unreachable)
-        monkeypatch.setattr(Evaluator, "_together", unreachable)
-        assert evaluate_subset(ds.matrix, ds.labels, np.array([3, 1, 4]), 4, 0.2, 7) == want
-
     def test_classifier_keeps_no_process_wide_container(self):
         # a module-level dict, list or set would be state shared by every
         # run, and a result could depend on what was evaluated before
@@ -572,8 +570,23 @@ def stage_in_turn(evaluator: Evaluator, batches) -> list[dict]:
     return held
 
 
+def two_subset_forests():
+    """A ``batch_problems`` draw of wide subsets (2 columns x 3 splits over
+    a block of 5) that grow 2 trees per forest, so the second forest holds
+    split 2 of the first subset and split 0 of the second."""
+    x, y = tie_heavy_arrays(np.random.default_rng(17), 24, 6, 3)
+    y[:10] = [0, 1] * 5
+    matrix = FeatureMatrix(x, tuple(f"f{j}" for j in range(6)))
+    batches = [[[0, 1], [2, 3], [4, 5]], [[1, 0], [5, 4]]]
+    return matrix, LabelVector(y, ("a", "b")), batches, [3], 3, 0.25, 11, 5, 40
+
+
+TWO_SUBSET_FORESTS = two_subset_forests()
+
+
 class TestBatch:
     @given(batch_problems())
+    @example(TWO_SUBSET_FORESTS)
     def test_staged_counts_match_one_off_calls_and_the_oracle(self, problem):
         # blocks of 1-7 (column, tree) pairs split a batch over several
         # forests and a forest's columns over several passes; the warm
@@ -581,13 +594,22 @@ class TestBatch:
         # them; later batches read the sorts and roots earlier ones kept,
         # which the one-off calls' fresh evaluators never do
         matrix, labels, batches, warm, n_splits, test_fraction, base_seed, block, table_max = problem
+        grow, forests = classifier._grow, []
+
+        def recording(values, labels, grid, *rest):
+            forests.append(grid)
+            return grow(values, labels, grid, *rest)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
             patch.setattr(classifier, "_BLOCK", block)
             evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
             evaluator.stage(np.array(warm, dtype=int)[:, None])
             evaluator.staged.clear()
+            patch.setattr(classifier, "_grow", recording)
             held = stage_in_turn(evaluator, batches)
+            patch.setattr(classifier, "_grow", grow)
+            assert evaluator.counts(np.empty((0, len(batches[0][0])), dtype=np.intp)) == []
             # in the reverse order, each batch reads what the others kept
             reverse = stage_in_turn(Evaluator(matrix, labels, n_splits, test_fraction, base_seed), batches[::-1])
             one_off = {
@@ -595,6 +617,10 @@ class TestBatch:
                 for staged in held for key in staged
             }
         assert held == reverse[::-1]
+        # every tree of the batches grows once, on its own grid row
+        assert sum(map(len, forests)) == n_splits * sum(map(len, batches))
+        if problem is TWO_SUBSET_FORESTS:  # wide: 2 * 3 (column, tree) pairs exceed the block
+            assert any(len(np.unique(grid, axis=0)) == 2 for grid in forests)
         staged = {}
         for subsets, counts in zip(batches, held):
             assert set(counts) == set(map(tuple, subsets))
@@ -675,7 +701,7 @@ class TestBatch:
 
     def test_kept_roots_hold_one_gini_per_split_of_each_sorted_column(self, monkeypatch):
         # the roots table adds n_splits float64s per sorted column, and the
-        # seeded search is the one whose subsets all grow alone, sorting
+        # seeded search is the one whose subsets are all wide, sorting
         # their own columns and scanning their roots
         ds = make_planted(22, 40, 300, 20, 1.2, seed=42)
         config = PipelineConfig(seed=7, stagnation_limit=10)
@@ -684,9 +710,9 @@ class TestBatch:
         result = search(ds.matrix, ds.labels, config, stages, evaluator)
         assert evaluator.tables[2].nbytes == np.count_nonzero(evaluator.slot >= 0) * config.n_splits * 8
         monkeypatch.setattr(classifier, "_BLOCK", config.n_splits * stages.n_var - 1)
-        alone = build_evaluator(ds.matrix, ds.labels, config)
-        assert search(ds.matrix, ds.labels, config, stages, alone) == result
-        assert alone.tables == ()
+        wide = build_evaluator(ds.matrix, ds.labels, config)
+        assert search(ds.matrix, ds.labels, config, stages, wide) == result
+        assert wide.tables == ()
         assert (result.best_genes, result.best_fitness, result.nfe) == (
             (151, 159, 162, 216, 242, 246, 254, 256, 282, 299), 0.9249999999999998, 252
         )
