@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector, stratified_split
+from .data import FeatureMatrix, LabelVector, _binary, stratified_split
 
 # (column, tree) pairs sorted and scored per pass; bounds the temporaries
 # on wide inputs.
@@ -396,14 +396,6 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _binary(codes: np.ndarray, name: str) -> np.ndarray:
-    """``codes`` as ints, if every one is exactly 0 or 1."""
-    codes = np.asarray(codes)
-    if not ((codes == 0) | (codes == 1)).all():
-        raise ValueError(f"{name} must be coded 0/1")
-    return codes.astype(int)
-
-
 def fit_tree(x: np.ndarray, y: np.ndarray) -> TreeNode:
     """Grow the full tree; stops at purity, <2 samples, or constant columns."""
     x, y = _finite(x), _binary(y, "y")
@@ -562,7 +554,9 @@ class Evaluator:
     def stage(self, subsets) -> None:
         """Score a batch of equal-length subsets (column ids, in order) and
         hold each one's per-split counts, keyed by its column tuple, until
-        ``evaluate_subset`` collects them."""
+        ``evaluate_subset`` collects them.  An empty batch stages nothing."""
+        if not len(subsets):
+            return
         grid = _subset_grid(subsets, len(self.slot))
         self.staged.update(zip(map(tuple, grid.tolist()), self.counts(grid)))
 

@@ -8,11 +8,14 @@ immutable after construction and safe to share across threads.
 ``load_csv`` reads the header with the ``csv`` module and parses the rest
 of the file in one ``np.loadtxt`` pass (numpy's C tokenizer, which splits
 quoted fields as ``csv.reader`` does and rounds each number as ``float``
-does).  Any exception, and any result that is not plainly valid, sends the
-file to the row-by-row reader instead: it parses one whole row per call
-with ``float`` and, for a row that fails, scans it again cell by cell.  So
-the row reader alone produces every error, with the row, column and
-left-to-right, top-to-bottom order of a cell-by-cell parse.
+does).  The label column is then dropped in place, each row's feature
+cells moved left within the parsed table's own buffer, so the returned
+matrix is the one copy of the data that the load makes.  Any exception,
+and any result that is not plainly valid, sends the file to the row-by-row
+reader instead: it parses one whole row per call with ``float`` and, for a
+row that fails, scans it again cell by cell.  So the row reader alone
+produces every error, with the row, column and left-to-right,
+top-to-bottom order of a cell-by-cell parse.
 """
 
 from __future__ import annotations
@@ -63,6 +66,14 @@ class DegenerateSplitError(DataError):
     """A requested split would leave a class absent from train or test."""
 
 
+def _binary(codes, name: str) -> np.ndarray:
+    """``codes`` as a new int array, if every one is exactly 0 or 1."""
+    codes = np.asarray(codes)
+    if not ((codes == 0) | (codes == 1)).all():
+        raise ValueError(f"{name} must be coded 0/1")
+    return codes.astype(int)
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """An n-by-m grid of finite reals; rows are samples, columns are features."""
@@ -106,15 +117,13 @@ class LabelVector:
     class_names: tuple[str, str]
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
+        labels = _binary(self.labels, "labels")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_names", tuple(self.class_names))
         if labels.ndim != 1:
             raise ValueError("labels must be 1-D")
         counts = np.bincount(labels, minlength=2)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) > 1 or counts.size > 2:
-            raise ValueError("labels must be coded 0/1")
         if (counts < 2).any():
             raise ValueError(f"each class needs at least 2 samples, got counts {tuple(counts)}")
         if len(self.class_names) != 2:
@@ -216,10 +225,10 @@ def _load_table(path: Path, label_column: str | None) -> tuple[FeatureMatrix, La
     ``csv.reader``'s do (``newline=""``: LF, CRLF and lone CR).  Without
     ``usecols`` it raises on ragged rows; with ``comments=None`` a ``#`` is
     data.  Not plainly valid, and left to the row reader: no rows, a column
-    count other than the header's (every row with the same extra field), a
-    label column without exactly two values of two or more rows each, or a
-    non-finite cell.  A warning (such as "input contained no data") counts
-    as a fault.
+    count other than the header's (every row with the same extra field), or
+    a label column without exactly two values of two or more rows each.  A
+    warning (such as "input contained no data") counts as a fault, and so
+    does a non-finite cell, which ``FeatureMatrix`` rejects.
     """
     class_codes: dict[str, int] = {}
 
@@ -240,11 +249,25 @@ def _load_table(path: Path, label_column: str | None) -> tuple[FeatureMatrix, La
         )
     if len(table) == 0 or table.shape[1] != len(header) or len(class_codes) != 2:
         return None
-    values = np.delete(table, label_idx, axis=1)
     codes = table[:, label_idx].astype(int)
-    if not np.isfinite(values).all() or (np.bincount(codes) < 2).any():
+    if (np.bincount(codes) < 2).any():
         return None
-    return FeatureMatrix(values, feature_names), LabelVector(codes, tuple(class_codes))
+    matrix = FeatureMatrix(_drop_column(table, label_idx), feature_names)
+    return matrix, LabelVector(codes, tuple(class_codes))
+
+
+def _drop_column(table: np.ndarray, col: int) -> np.ndarray:
+    """``table`` without column ``col``, moved left within its own buffer:
+    the C-contiguous (n, m) view at the front.  Row r moves to offset r * m;
+    in ascending row order a destination never passes its source."""
+    n, width = table.shape
+    m = width - 1
+    flat = table.reshape(-1)
+    for r in range(n):
+        src, dst = r * width, r * m
+        flat[dst : dst + col] = flat[src : src + col]
+        flat[dst + col : dst + m] = flat[src + col + 1 : src + width]
+    return flat[: n * m].reshape(n, m)
 
 
 def _load_rows(path: Path, label_column: str | None) -> tuple[FeatureMatrix, LabelVector]:

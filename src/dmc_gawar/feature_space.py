@@ -81,9 +81,10 @@ def minmax_normalize(columns: np.ndarray) -> np.ndarray:
         columns[:, huge] *= 0.5
         lo[huge] *= 0.5
         span[huge] = hi[huge] * 0.5 - lo[huge]
-    out = np.zeros_like(columns)
     nonconstant = span > 0.0
-    out[:, nonconstant] = (columns[:, nonconstant] - lo[nonconstant]) / span[nonconstant]
+    out = np.zeros_like(columns)
+    np.subtract(columns, lo, out=out, where=nonconstant)
+    np.divide(out, span, out=out, where=nonconstant)
     return out
 
 
@@ -106,10 +107,13 @@ def _kmeanspp_seed(points: np.ndarray, q: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _sq_distances(owned: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Exact squared distances of paired rows, summed along the contiguous
-    last axis: bit for bit the entries of the (n, q, d) broadcast."""
-    return ((points - centroids) ** 2).sum(axis=-1)
+    last axis: bit for bit the entries of the (n, q, d) broadcast.
+    ``owned`` is a C-contiguous copy the caller gives up; it is overwritten."""
+    owned -= other
+    owned **= 2
+    return owned.sum(axis=-1)
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -135,21 +139,8 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     minimum, and its first index, lie among the candidates, which are
     measured exactly.  A NaN or infinite bound rules nothing out.
     """
-    d = points.shape[1]
-    p_norm2 = np.einsum("ij,ij->i", points, points)
-    c_norm2 = np.einsum("ij,ij->i", centroids, centroids)
-    estimate = points @ centroids.T
-    estimate *= -2.0
-    estimate += p_norm2[:, None]
-    estimate += c_norm2[None, :]
-    slack = np.sqrt(p_norm2)[:, None] + np.sqrt(c_norm2)[None, :]
-    slack **= 2
-    slack *= 4.0 * (d + 2) * np.finfo(float).eps
-    slack += 4.0 * (d + 2) * np.finfo(float).smallest_subnormal
-    upper = (estimate + slack).min(axis=1, keepdims=True)
-    lower = np.subtract(estimate, slack, out=estimate)
-    rows, cols = np.nonzero(~(lower > upper))
-    step = max(1, RECHECK_ELEMENTS // d)
+    rows, cols = _candidates(points, centroids)
+    step = max(1, RECHECK_ELEMENTS // points.shape[1])
     exact = np.concatenate([
         _sq_distances(points[rows[i : i + step]], centroids[cols[i : i + step]])
         for i in range(0, len(rows), step)
@@ -163,6 +154,25 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return cols[first]
 
 
+def _candidates(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (point, centroid) pairs that ``_assign``'s bound cannot
+    rule out; its (n, q) temporaries are freed before the recheck."""
+    d = points.shape[1]
+    p_norm2 = np.einsum("ij,ij->i", points, points)
+    c_norm2 = np.einsum("ij,ij->i", centroids, centroids)
+    estimate = points @ centroids.T
+    estimate *= -2.0
+    estimate += p_norm2[:, None]
+    estimate += c_norm2[None, :]
+    slack = np.sqrt(p_norm2)[:, None] + np.sqrt(c_norm2)[None, :]
+    slack **= 2
+    slack *= 4.0 * (d + 2) * np.finfo(float).eps
+    slack += 4.0 * (d + 2) * np.finfo(float).smallest_subnormal
+    upper = (estimate + slack).min(axis=1, keepdims=True)
+    lower = np.subtract(estimate, slack, out=estimate)
+    return np.nonzero(~(lower > upper))
+
+
 def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     """Give each empty cluster the point farthest from its own centroid.
 
@@ -174,7 +184,7 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignments: np.nda
     """
     q = centroids.shape[0]
     assignments = assignments.copy()
-    own_d2 = _sq_distances(points, centroids[assignments])
+    own_d2 = _sq_distances(centroids[assignments], points)  # (c - p)**2 is (p - c)**2
     counts = np.bincount(assignments, minlength=q)
     empties = list(np.flatnonzero(counts == 0))
     while empties:

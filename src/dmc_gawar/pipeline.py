@@ -77,6 +77,14 @@ class PipelineConfig:
         for name, bound in least.items():
             if getattr(self, name) < bound:
                 raise ValueError(f"{name} must be at least {bound}")
+        # A run's time grows in proportion to these two, so each is capped
+        # to keep a run to minutes: every fitness call fits n_splits trees
+        # (a 62 x 2000 run takes about 0.6 s at 10), and every restart is a
+        # full k-means fit (about 0.08 s for 1000 points of 100 values).
+        most = {"n_splits": 1000, "n_restarts": 100}
+        for name, bound in most.items():
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound}")
 
 
 @dataclass(frozen=True)

@@ -726,6 +726,14 @@ class TestBatch:
         assert set(evaluator.staged) == {(3, 1, 4)}
         assert got == evaluate_subset(ds.matrix, ds.labels, np.array([1, 5, 9]), 4, 0.2, 7)
 
+    @pytest.mark.parametrize("batch", [[], (), np.array([]), np.empty((0, 3), dtype=int)])
+    def test_an_empty_batch_stages_nothing(self, batch):
+        ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
+        evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.2, base_seed=7)
+        evaluator.stage(batch)
+        assert evaluator.staged == {}
+        assert evaluator.tables == ()
+
     def test_subsets_of_different_lengths_are_rejected(self):
         ds = make_planted(12, 14, 20, 3, 1.5, seed=2)
         evaluator = Evaluator(ds.matrix, ds.labels, n_splits=4, test_fraction=0.2, base_seed=7)

@@ -396,6 +396,23 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert err == "dmc-gawar: invalid option: n_restarts must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("evaluate", "--n-splits", "1001"), "n_splits must be at most 1000"),
+            (("cluster", "--n-restarts", "101"), "n_restarts must be at most 100"),
+        ],
+    )
+    def test_work_sizes_over_the_bound_are_usage_errors(self, capsys, data_csv, argv, message):
+        """One past each bound; huge values are tested on the gate itself
+        (``test_pipeline.py``), never run."""
+        command, *flags = argv
+        code = main([command, data_csv, *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"dmc-gawar: invalid option: {message}\n"
+
     def test_zero_iterations_is_usage_error(self, capsys, data_csv):
         code = main(["optimize", data_csv, *FAST, "--max-iterations", "0"])
         captured = capsys.readouterr()

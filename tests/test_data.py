@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,49 @@ class TestLoadCsv:
         oracle_save_csv(matrix, labels, folder / "slow.csv", label_name='the "label", as\nwritten')
         assert (folder / "fast.csv").read_bytes() == (folder / "slow.csv").read_bytes()
 
+    @pytest.mark.parametrize("shape", [(30, 3000), (3000, 5)])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_pass_drops_the_label_column_in_place(self, tmp_path, shape, where):
+        """On a wide and a tall table, with the quoted label column first,
+        in the middle or last, the one-pass parse returns the row reader's
+        dataset bit for bit as a C-contiguous view of its own table; a
+        non-finite cell still goes to the row reader, which names it."""
+        n, m = shape
+        values = np.random.default_rng(n).standard_normal((n, m))
+        col = {"first": 0, "middle": m // 2, "last": m}[where]
+        rows = [[f"f{j}" for j in range(m)]] + [list(map(repr, row)) for row in values.tolist()]
+        for i, row in enumerate(rows):
+            row.insert(col, "label" if i == 0 else f'"class, {i % 2}"')
+        path = write(tmp_path / "d.csv", "".join(",".join(row) + "\n" for row in rows))
+        matrix, labels = data._load_table(path, "label")
+        assert matrix.values.flags.c_contiguous and matrix.values.base is not None
+        assert matrix.values.tobytes() == values.tobytes()
+        assert _summary(matrix, labels) == _summary(*data._load_rows(path, "label"))
+        assert labels.class_names == ("class, 1", "class, 0")
+        bad = m if col < m else m - 1  # a feature cell after the label where there is one
+        rows[5][bad] = "-inf"
+        path = write(tmp_path / "e.csv", "".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(NonFiniteValueError) as info:
+            load_csv(path, "label")
+        assert (info.value.row, info.value.col) == (6, bad + 1)
+
+    def test_load_holds_one_copy_of_the_data(self, tmp_path):
+        """``load_csv``'s traced peak stays under twice the matrix it
+        returns.  On 40 x 5000 it is 1.66 times the matrix; a second copy
+        without the label column (``np.delete``) made it 2.66 times."""
+        values = np.round(np.random.default_rng(0).standard_normal((40, 5000)), 6)
+        matrix = FeatureMatrix(values, [f"f{j}" for j in range(5000)])
+        save_csv(matrix, LabelVector(np.arange(40) % 2, ("a", "b")), tmp_path / "d.csv")
+        load_csv(tmp_path / "d.csv")  # any first-call imports
+        tracemalloc.start()
+        try:
+            loaded, _ = load_csv(tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.values.tobytes() == values.tobytes()
+        assert peak < 2.0 * loaded.values.nbytes
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path / "d.csv", "x,y,l\n1,2,a\n3,b\n5,6,a\n7,8,b\n")
         with pytest.raises(ParseError) as info:
@@ -303,6 +347,17 @@ class TestContainers:
     def test_class_counts(self):
         labels = LabelVector(np.array([0, 1, 0, 1, 1]), ("a", "b"))
         assert labels.class_counts == (2, 3)
+
+    @pytest.mark.parametrize(
+        "codes", [[0.5, 1, 0, 1, 0, 1, 0.9, 1], [0, 1, 0, 1, 2], [0, 1, 0, 1, -1], ["0", "1", "0", "1"]]
+    )
+    def test_labels_other_than_zero_or_one_are_rejected(self, codes):
+        with pytest.raises(ValueError, match="labels must be coded 0/1"):
+            LabelVector(np.array(codes), ("a", "b"))
+
+    def test_whole_float_and_bool_codes_are_accepted(self):
+        assert LabelVector(np.array([0.0, 1.0, 0.0, 1.0]), ("a", "b")).labels.tolist() == [0, 1, 0, 1]
+        assert LabelVector([False, True, False, True], ("a", "b")).labels.tolist() == [0, 1, 0, 1]
 
 
 @st.composite

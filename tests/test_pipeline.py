@@ -54,6 +54,11 @@ class TestConfigGate:
             ({"stagnation_limit": -1}, "stagnation_limit must be at least 1"),
             ({"max_iterations": 0}, "max_iterations must be at least 1"),
             ({"seed": -1}, "seed must be at least 0"),
+            ({"n_splits": 1001}, "n_splits must be at most 1000"),
+            ({"n_splits": 100_000_000}, "n_splits must be at most 1000"),
+            ({"n_splits": 2**63}, "n_splits must be at most 1000"),
+            ({"n_restarts": 101}, "n_restarts must be at most 100"),
+            ({"n_restarts": 2**40}, "n_restarts must be at most 100"),
         ],
     )
     def test_rejects(self, kwargs, message):
