@@ -14,9 +14,13 @@ One grower, ``_grow``, grows a forest breadth first, as SLIQ (Mehta,
 Agrawal & Rissanen, EDBT 1996) grows a presorted CART tree.  Each tree has
 its own train rows and its own row of a (trees x k) column grid: the ten
 splits of one subset repeat the subset's row, and a batch of subsets
-stacks their rows.  It starts from every (column, tree) sorted once and
-keeps, per grid column, the stacked row ids and value ranks in that
-order; a row's label code is read through its id.
+stacks their rows.  Each column is sorted once over all rows, SLIQ's
+single presort (``_presort``), and each tree's order of a column is that
+presort filtered to the tree's train rows (``_filter``), both a block of
+columns at a time.  Per grid column it keeps the stacked row ids and
+value ranks in that order; a row's label code is read through its id.
+A column without a tie over all rows ranks its rows 0..n-1 and has its
+ranks read by no cut; with no tied column a forest has no ranks at all.
 The open nodes of a level lie side by side, as segments at the same
 positions in every grid column, each sorted by that tree's column there.
 A running sum of the codes along a block of grid columns, less each
@@ -47,10 +51,14 @@ and left ones, the node size and node ones.  A child of ``m`` rows, ``o``
 of them class 1, contributes ``m * (1 - (o/m)**2 - ((m-o)/m)**2)``; fits of
 at most ``GINI_TABLE_MAX_ROWS`` rows read that term from a table built
 once per root size (only the latest table is kept; 0.5 MB at the bound),
-so a cut costs two lookups instead of the arithmetic.  The table entries
+so a cut costs two lookups instead of the arithmetic; on a level scanned
+over more than n + 1 columns each node first adds its two children's
+terms for every left code, and a cut costs one lookup.  The table entries
 come from the same float64 operations in the same order as the formula,
 so every weighted Gini, and with it every tie and every tree, is
-bit-identical to the formula's, which larger fits still evaluate.
+bit-identical to the formula's, which larger fits still evaluate.  The
+scan divides by the node size only at each (column, node) minimum: x ->
+fl(x / s) is monotone, so that minimum is the lowest divided cut.
 
 One evaluator per run: a run scores thousands of subsets under the same
 few split plans, which its ``Evaluator`` builds once.  ``Evaluator.counts``
@@ -62,15 +70,16 @@ evaluator scores its subset on an evaluator of its own and drops it.  No
 plan, sort, Gini or count outlives its evaluator, and a subset's counts do
 not depend on what was scored before or beside it.
 
-An evaluator sorts a column under the run's train splits the first time a
-narrow subset (``k * n_splits <= _BLOCK``) asks for it and scores the
-column's root on every split then, and keeps both; later batches gather
-their columns' rows of those tables.  A root's rows are its split's train
-rows in every forest, so a kept sort is the column's root order on every
-split, as in SLIQ's presort, and a kept root Gini is bit-identical to the
+An evaluator presorts a column and filters it to the run's train splits
+the first time a narrow subset (``k * n_splits <= _BLOCK``) asks for it,
+scores the column's root on every split then, and keeps both; later
+batches gather their columns' rows of those tables.  A root's rows are
+its split's train rows in every forest, so a kept order is the column's
+root order on every split, and a kept root Gini is bit-identical to the
 scan's, as a root's code sums are exact integers.  Every later level is
-scanned; ``fit_tree`` and wider subsets sort their own columns, scan
-every level and keep nothing.
+scanned.  ``fit_tree`` presorts its own columns, and a batch of wider
+subsets presorts its columns once for all its forests; both scan every
+level and keep nothing.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -126,10 +135,10 @@ def _child_terms(size: np.ndarray, ones: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)  # only the latest table is kept
 def _table_for(n: int) -> np.ndarray:
     """Flat (n + 1) x (n + 1) table of ``_child_terms``; entry
-    ``size * (n + 1) + ones``.  Row 0, an empty child, is read only past
-    a node's last row, a cut that is masked."""
+    ``size * (n + 1) + ones``.  Row 0, an empty child, holds inf: the cut
+    past a node's last row leaves its right child empty and so reads inf."""
     sizes = np.arange(n + 1.0)
-    terms = np.zeros((n + 1, n + 1))
+    terms = np.full((n + 1, n + 1), np.inf)
     terms[1:] = _child_terms(sizes[1:, None], sizes[None, :])
     return terms.ravel()
 
@@ -175,40 +184,74 @@ def _regroup(buffers: tuple[np.ndarray, ...], side: np.ndarray, k: int, width: i
             buffer[at : at + kept.size] = grid[block].take(kept)
 
 
-def _sort_columns(
-    values: np.ndarray, rows: np.ndarray, columns: np.ndarray, n: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The presort: every (column, tree) of the stacked ``rows``, ``n``
-    per tree, in ascending order, as flat (columns x stacked rows) buffers
-    of stacked row ids and ranks, ``width`` columns per ``argsort``.
-    ``columns`` is (k x trees), or (k x 1) for the same columns in every
-    tree.  A rank counts the gaps below a value, so equal ranks mean no
-    cut.  Ties may come in any order: no cut separates them."""
-    k = len(columns)
-    order = np.empty(k * len(rows), dtype=np.int32)
-    ranks = np.zeros(k * len(rows), dtype=np.min_scalar_type(n))
-    cell_of_row = rows.reshape(-1, n) * values.shape[1]  # (trees x n) flat cell of column 0
-    for start in range(0, k, width):
-        chunk = columns[start : start + width]
-        cells = slice(start * len(rows), (start + len(chunk)) * len(rows))
-        block = values.take(cell_of_row + chunk[:, :, None])  # (chunk x trees x n)
-        flat = np.argsort(block, axis=2)
-        flat += np.arange(0, block.size, n).reshape(block.shape[:2] + (1,))
-        ordered = block.take(flat)
-        gaps = ordered[:, :, :-1] < ordered[:, :, 1:]
-        np.cumsum(gaps, axis=2, dtype=ranks.dtype, out=ranks[cells].reshape(block.shape)[:, :, 1:])
-        flat -= np.arange(0, block.size, len(rows))[:, None, None]  # stacked row ids
-        order[cells] = flat.ravel()
-    return order, ranks
+def _presort(values: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The presort: ``columns`` (ascending column ids), the row ids of each
+    over all rows of ``values`` in ascending order, as a (columns x rows)
+    array of the smallest unsigned type that holds them, and whether each
+    column has a tie; ``_BLOCK`` columns per ``argsort``."""
+    n_rows = len(values)
+    ids = np.empty((len(columns), n_rows), dtype=np.min_scalar_type(n_rows))
+    tied = np.empty(len(columns), dtype=bool)
+    for start in range(0, len(columns), _BLOCK):
+        block = values.take(columns[start : start + _BLOCK], axis=1).T  # (columns x rows)
+        order = block.argsort(axis=1)
+        ids[start : start + len(block)] = order
+        ordered = np.take_along_axis(block, order, axis=1)
+        tied[start : start + len(block)] = (ordered[:, :-1] == ordered[:, 1:]).any(axis=1)
+    return columns, ids, tied
+
+
+def _filter(
+    values: np.ndarray, presort: tuple[np.ndarray, ...], grid: np.ndarray, train: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Every (column, tree) of the (k x trees) column ``grid`` in
+    ascending order, filtered from the ``presort`` of its columns to each
+    tree's rows of ``train``: (k x stacked rows) stacked row ids, of the
+    smallest unsigned type that holds them, and ranks, and whether each
+    grid column is tied in some tree; ``width`` grid columns go per pass.
+    A rank counts the gaps below a value, so equal ranks mean no cut; a
+    tie-free column ranks its rows 0..n-1, and with no tied column there
+    are no ranks (None).  Ties may come in any order: no cut separates
+    them."""
+    columns, ids, tied = presort
+    slots = np.searchsorted(columns, grid)  # the presort row of each (grid column, tree)
+    n_trees, n = train.shape
+    n_rows = ids.shape[1]
+    order = np.empty((len(slots), n_trees, n), dtype=np.min_scalar_type(train.size))
+    tied_grid = tied.take(slots).any(axis=1)
+    ranks = None
+    if tied_grid.any():
+        ranks = np.empty(order.shape, dtype=np.min_scalar_type(n))
+        ranks[...] = np.arange(n)
+    trees = np.arange(n_trees)[:, None]
+    stacked = np.zeros((n_trees, n_rows), dtype=order.dtype)  # row -> stacked row id, per tree
+    stacked[trees, train] = np.arange(train.size).reshape(train.shape)
+    keep = np.zeros((n_trees, n_rows), dtype=bool)
+    keep[trees, train] = True
+    for start in range(0, len(slots), width):
+        for tree in range(n_trees):
+            slot = slots[start : start + width, tree]
+            rows = ids.take(slot, axis=0)
+            if n < n_rows:
+                rows = rows[keep[tree].take(rows)].reshape(len(slot), n)
+            order[start : start + width, tree] = stacked[tree].take(rows)
+            tie = tied.take(slot)
+            if tie.any():
+                ordered = values[rows[tie], grid[start : start + width, tree][tie, None]]
+                gaps = np.cumsum(ordered[:, :-1] < ordered[:, 1:], axis=1, dtype=ranks.dtype)
+                ranks[start : start + width, tree][tie, 1:] = gaps
+    shape = (len(slots), train.size)
+    return order.reshape(shape), None if ranks is None else ranks.reshape(shape), tied_grid
 
 
 def _cut_gini(
-    y: np.ndarray, n: int, size: np.ndarray, ones: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """The set-up of a level of open nodes in fits of ``n`` train rows:
-    each node's first position, the node of each position, and the
-    weighted Gini of every cut as a function of (rows x positions) blocks
-    of ``order`` and ``ranks``, inf at a cut between equal values (equal
+    y: np.ndarray, n: int, size: np.ndarray, ones: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray | None], np.ndarray]]:
+    """The set-up of a level of open nodes in fits of ``n`` train rows,
+    scanned over ``k`` columns: each node's first position, the node of
+    each position, and the weighted Gini, times the node's size, of every
+    cut as a function of (rows x positions) blocks of ``order`` and
+    ``ranks`` (None: no tie), inf at a cut between equal values (equal
     ranks) or past a node's last row.  Cut ``i`` lies after position
     ``i``.  ``y`` is the label of each stacked row, ``size`` and ``ones``
     each node's rows and class-1 rows, all of the integer type that every
@@ -220,7 +263,9 @@ def _cut_gini(
     rows (with ``stride`` 0, and no table, the ones).  A running sum of
     codes less the codes of the nodes before is the code of a cut's left
     child, and the node's sum less that the code of its right child; the
-    formula computes a term from counts carried as exact float64.
+    formula computes a term from counts carried as exact float64.  With
+    more columns than a node has left codes, each node first sums its two
+    children's table terms for every left code, and a cut reads that sum.
     """
     table = _table_for(n) if n <= GINI_TABLE_MAX_ROWS else None
     stride = 0 if table is None else n + 1
@@ -229,41 +274,60 @@ def _cut_gini(
     starts = size.cumsum(dtype=index) - size
     node_of = np.repeat(np.arange(len(size), dtype=index), size)
     of = node_of[:-1]  # node of each cut
-    inside = of == node_of[1:]  # the cut after a node's last row leaves it
     node_code = size * stride + ones
-    code_end = node_code.cumsum(dtype=index).take(of)
-    code_before = code_end - node_code.take(of)
-    node_size = size.take(of)
-    if table is None:
-        left_n = np.arange(len(of), dtype=index) - starts.take(of) + 1.0
-        right_n = np.maximum(node_size - left_n, 1.0)  # 0 only where the cut is masked
+    if table is not None and k > n + 1:
+        # node j's sums follow those of the nodes before it, one entry past
+        # their codes each, so a cut's running sum plus j is its entry
+        span = node_code + 1
+        entry_node = np.repeat(np.arange(len(size), dtype=index), span)
+        left = np.arange(len(entry_node), dtype=index) - (span.cumsum(dtype=index) - span).take(entry_node)
+        pairs = table.take(left) + table.take(node_code.take(entry_node) - left)
 
-    def weighted(order: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        running = code.take(order[:, :-1]).cumsum(axis=1, dtype=index)
+        def terms(running: np.ndarray) -> np.ndarray:
+            running += of
+            return pairs.take(running)
+    else:
+        code_end = node_code.cumsum(dtype=index).take(of)
+        code_before = code_end - node_code.take(of)
         if table is None:
-            left_terms = _child_terms(left_n, running - code_before)
-            gini = (left_terms + _child_terms(right_n, code_end - running)) / node_size
-        else:
-            gini = (table.take(running - code_before) + table.take(code_end - running)) / node_size
-        cut = ranks[:, :-1] != ranks[:, 1:]
-        cut &= inside
-        return np.where(cut, gini, np.inf)
+            inside = of == node_of[1:]  # the cut after a node's last row leaves it
+            left_n = np.arange(len(of), dtype=index) - starts.take(of) + 1.0
+            right_n = np.maximum(size.take(of) - left_n, 1.0)  # 0 only where the cut is masked
+
+        def terms(running: np.ndarray) -> np.ndarray:
+            if table is not None:
+                return table.take(running - code_before) + table.take(code_end - running)
+            both = _child_terms(left_n, running - code_before) + _child_terms(right_n, code_end - running)
+            return np.where(inside, both, np.inf)
+
+    def weighted(order: np.ndarray, ranks: np.ndarray | None) -> np.ndarray:
+        running = code.take(order[:, :-1])
+        gini = terms(np.cumsum(running, axis=1, out=running))
+        if ranks is not None:
+            np.putmask(gini, ranks[:, :-1] == ranks[:, 1:], np.inf)
+        return gini
 
     return starts, node_of, weighted
 
 
 def _best_cuts(
-    weighted: Callable[[np.ndarray, np.ndarray], np.ndarray], order: np.ndarray, ranks: np.ndarray,
-    starts: np.ndarray, width: int,
+    weighted: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+    sorts: tuple[np.ndarray, np.ndarray | None, np.ndarray], starts: np.ndarray, size: np.ndarray, width: int,
 ) -> np.ndarray:
     """(columns x nodes) lowest weighted Gini of each open node on each
-    column of ``order`` and ``ranks``, inf where the column is constant on
-    the node; ``weighted``, the level's kernel from ``_cut_gini``, is
-    applied to blocks of ``width`` columns."""
+    column of ``sorts`` (order, ranks and tie flags, as ``_filter`` gives
+    them), inf where the column is constant on the node; ``weighted``, the
+    level's kernel from ``_cut_gini``, is applied to blocks of ``width``
+    columns, with ranks only for a block that holds a tied column.  Each
+    minimum is divided by its node's ``size`` once: x -> fl(x / s) is
+    monotone, so that is the lowest of the divided cuts."""
+    order, ranks, tied = sorts
     lowest = np.empty((len(order), len(starts)))
     for start in range(0, len(order), width):
         block = slice(start, start + width)
-        np.minimum.reduceat(weighted(order[block], ranks[block]), starts, axis=1, out=lowest[block])
+        block_ranks = ranks[block] if ranks is not None and tied[block].any() else None
+        np.minimum.reduceat(weighted(order[block], block_ranks), starts, axis=1, out=lowest[block])
+    lowest /= size
     return lowest
 
 
@@ -276,16 +340,17 @@ def _grow(
     labels: np.ndarray,
     grid: np.ndarray,
     train: np.ndarray,
-    kept: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    sorts: tuple[np.ndarray, np.ndarray | None, np.ndarray],
+    roots: np.ndarray | None = None,
 ) -> _Forest:
     """Grow one tree per row of ``train`` (row ids of ``values`` and
     ``labels``, one split per row, all of one size) on the same row of the
     (trees x k) column ``grid``, all trees one level per step.  Either
     every root is open (both classes among at least 2 rows) or none is:
     ``fit_tree`` grows one root, and ``stratified_split`` puts both classes
-    in every train set.  ``kept``, if given, is ``_sort_columns``' output
-    for ``grid.T`` and these rows, in fresh arrays that are overwritten,
-    and the (k x trees) lowest Gini of each root on each grid column.
+    in every train set.  ``sorts`` is ``_filter``'s output for ``grid.T``
+    and these rows, in fresh arrays that are overwritten; ``roots``, if
+    given, the (k x trees) lowest Gini of each root on each grid column.
 
     The open nodes of a level lie side by side: in every column's row
     order a node is one segment, at the same positions in every column,
@@ -314,11 +379,11 @@ def _grow(
         return _Forest(np.full(n_splits, -1), np.full(n_splits, np.inf), leaves, root_prediction, 0)
 
     values = np.ascontiguousarray(values)  # cells are read by flat index
-    if kept is None:
-        buffers, roots = _sort_columns(values, rows, grid.T, n, width), None
-    else:
-        buffers, roots = kept[:2], kept[2]
-    # a level's (k x positions) tables of row ids and ranks sit at the buffers' front
+    flat = [None if b is None else b.ravel() for b in sorts[:2]]
+    tied = sorts[2]
+    # a level's (k x positions) tables of row ids and ranks sit at the
+    # buffers' front; with no tied column there are no ranks to move
+    buffers = tuple(b for b in flat if b is not None)
     side = np.zeros(len(rows), dtype=np.int8)  # per stacked row: 0 left, 1 right, 2 closed
     node = np.arange(n_splits)  # node ids of the open nodes, in layout order
     n_nodes = n_splits
@@ -326,9 +391,9 @@ def _grow(
 
     while len(node):
         positions = np.arange(size.sum(), dtype=index)
-        order, ranks = (b[: k * len(positions)].reshape(k, -1) for b in buffers)
-        starts, node_of, weighted = _cut_gini(y, n, size, ones)
-        gini = _best_cuts(weighted, order, ranks, starts, width) if roots is None else roots
+        order, ranks = (None if b is None else b[: k * len(positions)].reshape(k, -1) for b in flat)
+        starts, node_of, weighted = _cut_gini(y, n, size, ones, k)
+        gini = _best_cuts(weighted, (order, ranks, tied), starts, size, width) if roots is None else roots
         roots = None  # only the root level is kept
         # The split rule: a node splits on its earliest column of lowest
         # weighted Gini, at that column's first cut of that value.
@@ -340,7 +405,9 @@ def _grow(
         # the stacked rows of each node in its winning column's order
         at = best_column.take(node_of) * len(positions) + positions
         winner = order.take(at)
-        hit = weighted(winner[None], ranks.take(at)[None])[0] == best.take(node_of[:-1])
+        cut_of = node_of[:-1]
+        cuts = weighted(winner[None], None if ranks is None else ranks.take(at)[None])[0]
+        hit = cuts / size.take(cut_of) == best.take(cut_of)
         # a node whose columns are all constant hits every cut, so its
         # first hit is a cut inside it
         best_cut = np.minimum.reduceat(np.where(hit, positions[:-1], len(positions)), starts)
@@ -356,6 +423,8 @@ def _grow(
         first_child = n_nodes - 2 + 2 * splits.cumsum()
         n_nodes += 2 * int(np.count_nonzero(splits))
         child_open = _is_open(child_size, child_ones) & splits
+        if not child_open.any():
+            break
         side[winner] = np.where(child_open, _SIDES, 2).take(goes_right * len(node) + node_of)
         _regroup(buffers, side, k, width, len(positions))
         node = (first_child + _SIDES)[child_open]
@@ -401,7 +470,9 @@ def fit_tree(x: np.ndarray, y: np.ndarray) -> TreeNode:
     x, y = _finite(x), _binary(y, "y")
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("x must be 2-D with one row per label")
-    forest = _grow(x, y, np.arange(x.shape[1])[None], np.arange(len(y))[None])
+    columns, train = np.arange(x.shape[1]), np.arange(len(y))[None]
+    sorts = _filter(x, _presort(x, columns), columns[:, None], train, _BLOCK)
+    forest = _grow(x, y, columns[None], train, sorts)
     feature, threshold, left = forest.feature.tolist(), forest.threshold.tolist(), forest.left.tolist()
     nodes = [_LEAVES[p] for p in forest.prediction.tolist()]
     for u in range(len(nodes) - 1, -1, -1):  # children have higher ids than their parent
@@ -494,19 +565,22 @@ def _route(forest: _Forest, values: np.ndarray, test: np.ndarray) -> np.ndarray:
 
 
 def _subset_grid(subsets, m: int) -> np.ndarray:
-    """The (subsets x k) column ids of equal-length subsets of ``m`` columns."""
+    """The (subsets x k) column ids of equal-length, non-empty subsets of
+    ``m`` columns."""
     try:
         grid = np.asarray(subsets)
     except ValueError:  # ragged
         raise ValueError("the subsets of a batch must all have the same length") from None
     if grid.ndim != 2 or grid.size and not (grid.dtype.kind in "iu" and 0 <= grid.min() <= grid.max() < m):
         raise ValueError(f"features must be 1-D integer column indices in 0..{m - 1}")
+    if len(grid) and not grid.shape[1]:
+        raise ValueError("a subset needs at least one feature")
     return grid.astype(np.intp, copy=False)
 
 
 class Evaluator:
     """The repeated-holdout protocol of one run: its split plans, built
-    once (split k has seed ``base_seed + k``), the sort of each column
+    once (split k has seed ``base_seed + k``), the order of each column
     under every train split and the column's lowest weighted Gini at each
     split's root, made the first time a narrow subset asks for the column
     and kept, and the counts ``stage`` scored and ``evaluate_subset`` has
@@ -514,10 +588,11 @@ class Evaluator:
     the module's tie rule whatever was kept, so a subset's counts are the
     same on a fresh evaluator.
 
-    The kept ``tables`` are ``_sort_columns``' output, one row of
-    ``n_splits * n_train`` stacked row ids and ranks per column, and
-    ``_keep``'s row of ``n_splits`` root Ginis per column, in the order the
-    columns were first asked for; each sort appends its rows, so only
+    The kept ``tables`` are ``_filter``'s output, one row of ``n_splits *
+    n_train`` stacked row ids and ranks per column (ranks 0..n_train-1
+    per split for a tie-free column), ``_keep``'s row of ``n_splits`` root
+    Ginis per column and each column's tie flag, in the order the columns
+    were first asked for; each sort appends its rows, so only
     columns in use are held.  Only narrow subsets (``len(features) *
     n_splits <= _BLOCK``) read them.  An evaluator serves only the data
     and split settings it was built from: ``check`` raises ``ValueError``
@@ -568,8 +643,8 @@ class Evaluator:
         n_splits))`` whole subsets per forest, so a pass of two columns
         holds at most ``_BLOCK`` (column, tree) pairs; subset b of a forest
         has its stacked rows offset by ``b * n_splits * n_train``.  Wider
-        subsets sort their own columns, ``max(1, _BLOCK // k)`` trees per
-        forest, which may hold trees of two subsets."""
+        subsets filter one presort of the batch's columns, ``max(1, _BLOCK
+        // k)`` trees per forest, which may hold trees of two subsets."""
         (batch, k), (n_splits, n) = grid.shape, self.train.shape
         if not batch:
             return []
@@ -582,35 +657,50 @@ class Evaluator:
             per_forest = n_splits * max(1, _BLOCK // (2 * n_splits))
         else:
             per_forest = max(1, _BLOCK // max(k, 1))
+            presort = _presort(self.values, np.unique(grid))
         subset, split = np.divmod(np.arange(batch * n_splits), n_splits)
         predicted = []
         for start in range(0, batch * n_splits, per_forest):
             trees = slice(start, start + per_forest)
-            kept = None
-            if narrow:
-                chunk = slots[start // n_splits : (start + per_forest) // n_splits].T
-                order, ranks, roots = (table.take(chunk, axis=0) for table in self.tables)
-                order += np.arange(0, order.shape[1] * n_splits * n, n_splits * n, dtype=order.dtype)[:, None]
-                kept = order.ravel(), ranks.ravel(), roots.reshape(k, -1)
-            rows = subset[trees]
+            rows, train = subset[trees], self.train[split[trees]]
             # one subset's trees share its row: no copy of thousands of
             # column ids per wide forest, which raised the peak heap
             columns = np.broadcast_to(grid[rows[0]], (len(rows), k)) if rows[0] == rows[-1] else grid[rows]
-            forest = _grow(self.values, self.labels, columns, self.train[split[trees]], kept)
+            if narrow:
+                sorts, roots = self._gather(slots[start // n_splits : (start + per_forest) // n_splits].T)
+            else:
+                sorts, roots = _filter(self.values, presort, columns.T, train, max(1, _BLOCK // len(rows))), None
+            forest = _grow(self.values, self.labels, columns, train, sorts, roots)
+            del sorts  # the next forest's buffers take these ones' place, not their side
             predicted.append(_route(forest, self.values, self.test[split[trees]]))
         counts = _confusion_rows(np.tile(self.test_labels, (batch, 1)), np.concatenate(predicted))
         return [counts[b : b + n_splits] for b in range(0, len(counts), n_splits)]
+
+    def _gather(self, chunk: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray]:
+        """The kept sorts and roots of a narrow forest of whole subsets, its
+        (k x subsets) table rows ``chunk``; subset b's stacked rows are
+        offset by ``b * n_splits * n_train``.  The ranks are gathered only
+        if a column is tied."""
+        order, ranks, roots, tied = self.tables
+        order = order.take(chunk, axis=0)
+        order += np.arange(0, order.shape[1] * self.train.size, self.train.size, dtype=order.dtype)[:, None]
+        tied = tied.take(chunk).any(axis=1)
+        ranks = ranks.take(chunk, axis=0) if tied.any() else None
+        return (order, ranks, tied), roots.take(chunk, axis=0).reshape(len(chunk), -1)
 
     def _keep(self, columns: np.ndarray) -> None:
         """Sort distinct, not yet sorted ``columns``, score their roots on
         every split, and append their tables."""
         n_splits, n = self.train.shape
-        rows, width = self.train.ravel(), max(1, _BLOCK // n_splits)
-        sorts = _sort_columns(np.ascontiguousarray(self.values), rows, columns[:, None], n, width)
-        order, ranks = (table.reshape(len(columns), -1) for table in sorts)
-        y = self.labels.take(rows)
-        starts, _, weighted = _cut_gini(y, n, np.full(n_splits, n), y.reshape(n_splits, n).sum(axis=1))
-        new = order, ranks, _best_cuts(weighted, order, ranks, starts, width)
+        width, size = max(1, _BLOCK // n_splits), np.full(n_splits, n)
+        grid = np.broadcast_to(columns[:, None], (len(columns), n_splits))
+        order, ranks, tied = _filter(self.values, _presort(self.values, columns), grid, self.train, width)
+        y = self.labels.take(self.train.ravel())
+        starts, _, weighted = _cut_gini(y, n, size, y.reshape(n_splits, n).sum(axis=1), len(columns))
+        roots = _best_cuts(weighted, (order, ranks, tied), starts, size, width)
+        if ranks is None:  # a later forest may hold a tied column beside these
+            ranks = np.resize(np.arange(n, dtype=np.min_scalar_type(n)), order.shape)
+        new = order.astype(np.int32), ranks, roots, tied  # room for _gather's offsets
         self.slot[columns] = self.slot.max() + 1 + np.arange(len(columns))
         self.tables = tuple(map(np.concatenate, zip(self.tables, new))) if self.tables else new
 

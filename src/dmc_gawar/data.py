@@ -74,16 +74,28 @@ def _binary(codes, name: str) -> np.ndarray:
     return codes.astype(int)
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, marked read-only: a ``FeatureMatrix`` holds such an
+    array without a copy."""
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """An n-by-m grid of finite reals; rows are samples, columns are features."""
+    """An n-by-m grid of finite reals; rows are samples, columns are features.
+
+    The grid is read-only.  A read-only float64 array is held as it is;
+    any other input is copied, so the caller's array stays writeable and a
+    write to it does not reach the matrix."""
 
     values: np.ndarray
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
+        if values.flags.writeable:  # someone may still write to it: hold a copy
+            values = _read_only(values.copy())
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if values.ndim != 2:
@@ -252,7 +264,7 @@ def _load_table(path: Path, label_column: str | None) -> tuple[FeatureMatrix, La
     codes = table[:, label_idx].astype(int)
     if (np.bincount(codes) < 2).any():
         return None
-    matrix = FeatureMatrix(_drop_column(table, label_idx), feature_names)
+    matrix = FeatureMatrix(_read_only(_drop_column(table, label_idx)), feature_names)
     return matrix, LabelVector(codes, tuple(class_codes))
 
 
@@ -299,7 +311,7 @@ def _load_rows(path: Path, label_column: str | None) -> tuple[FeatureMatrix, Lab
         raise NotBinaryLabelsError(len(class_codes))
     if (np.bincount(codes) < 2).any():
         raise DataError("each class needs at least 2 samples")
-    return FeatureMatrix(np.stack(rows), feature_names), LabelVector(codes, tuple(class_codes))
+    return FeatureMatrix(_read_only(np.stack(rows)), feature_names), LabelVector(codes, tuple(class_codes))
 
 
 def _csv_cell(text: str) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector
+from .data import FeatureMatrix, LabelVector, _read_only
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def make_planted(
     informative = np.sort(rng.choice(m, size=n_informative, replace=False))
     values[n_class0:, informative] += shift
     return SyntheticDataset(
-        FeatureMatrix(values, _feature_names(m)),
+        FeatureMatrix(_read_only(values), _feature_names(m)),
         _block_labels(n_class0, n_class1),
         tuple(int(j) for j in informative),
     )
@@ -65,7 +65,7 @@ def make_xor(reps: int = 1) -> SyntheticDataset:
     codes = np.tile(labels, reps)
     order = np.argsort(codes, kind="stable")
     return SyntheticDataset(
-        FeatureMatrix(values[order], _feature_names(2)),
+        FeatureMatrix(_read_only(values[order]), _feature_names(2)),
         LabelVector(codes[order], ("neg", "pos")),
         (0, 1),
     )

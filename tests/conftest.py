@@ -1,3 +1,5 @@
+import hashlib
+import platform
 import sys
 from pathlib import Path
 
@@ -13,6 +15,24 @@ sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 # example database is written.
 settings.register_profile("tier1", derandomize=True, max_examples=150, deadline=None, database=None)
 settings.load_profile("tier1")
+
+# Every pinned digest was taken under these versions: ``--help`` bytes
+# follow the interpreter's argparse, and numpy may change its seeded
+# draws between feature releases.
+PINNED_VERSIONS = {"Python": "3.11.7", "numpy": "2.4.6"}
+
+
+def assert_digest(data: bytes, digest: str) -> None:
+    """Assert that the SHA-256 of ``data`` is the pinned ``digest``; a
+    failure names the versions it was pinned under and the running ones."""
+    got = hashlib.sha256(data).hexdigest()
+    running = {"Python": platform.python_version(), "numpy": np.__version__}
+    assert got == digest, (
+        f"SHA-256 {got} is not the pinned {digest}; pinned under "
+        + ", ".join(f"{name} {version}" for name, version in PINNED_VERSIONS.items())
+        + ", running "
+        + ", ".join(f"{name} {version}" for name, version in running.items())
+    )
 
 
 @pytest.fixture

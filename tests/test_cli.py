@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -10,6 +9,7 @@ from dmc_gawar.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dmc_gawar.data import save_csv
 from dmc_gawar.pipeline import PipelineConfig
 from dmc_gawar.synthetic import make_planted
+from conftest import assert_digest
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ class TestGoldenBytes:
         command, *flags = argv
         assert main([command, data_csv, *flags]) == EXIT_OK
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_digest(out.encode(), digest)
 
 
     @pytest.mark.parametrize(
@@ -181,9 +181,7 @@ class TestGoldenBytes:
         conv = tmp_path / "conv.csv"
         assert main([command, data_csv, *flags, "--convergence", str(conv)]) == EXIT_OK
         capsys.readouterr()
-        assert hashlib.sha256(conv.read_bytes()).hexdigest() == (
-            "38051d1cd1474b0617bf9b4e44acaef38d96d8480751a643c0c87d8cd6b8858f"
-        )
+        assert_digest(conv.read_bytes(), "38051d1cd1474b0617bf9b4e44acaef38d96d8480751a643c0c87d8cd6b8858f")
 
     @pytest.mark.parametrize(
         "argv",
@@ -292,7 +290,7 @@ class TestParser:
             main([*command, "--help"])
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_digest(out.encode(), digest)
 
     @pytest.mark.parametrize("field", dataclasses.fields(PipelineConfig), ids=lambda f: f.name)
     def test_every_config_field_is_a_typed_flag(self, field):

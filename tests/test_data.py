@@ -332,6 +332,17 @@ class TestContainers:
         with pytest.raises(ValueError):
             matrix.values[0, 0] = 1.0
 
+    def test_matrix_leaves_the_callers_array_writeable(self):
+        x = np.zeros((3, 2))
+        matrix = FeatureMatrix(x, ("a", "b"))
+        x[0, 0] = 1.0
+        assert matrix.values[0, 0] == 0.0
+
+    def test_matrix_holds_a_read_only_array_as_it_is(self):
+        x = np.zeros((3, 2))
+        x.flags.writeable = False
+        assert FeatureMatrix(x, ("a", "b")).values is x
+
     def test_matrix_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FeatureMatrix(np.array([[1.0], [np.inf], [0.0]]), ("a",))

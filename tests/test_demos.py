@@ -1,13 +1,14 @@
 """Every demo script runs to completion, quietly, from a scratch directory;
 the search demos print the same bytes on every run."""
 
-import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import assert_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -32,4 +33,4 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert done.stderr == ""
     assert done.stdout
     if demo.stem in STDOUT_SHA256:
-        assert hashlib.sha256(done.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.stem]
+        assert_digest(done.stdout.encode(), STDOUT_SHA256[demo.stem])

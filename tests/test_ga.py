@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import math
 from unittest import mock
@@ -22,6 +21,7 @@ from dmc_gawar.ga import (
     single_point_crossover,
     write_convergence_csv,
 )
+from conftest import assert_digest
 
 
 class StubRng:
@@ -256,8 +256,7 @@ class TestSubsetOptimizer:
             range(25), 4, per_subset(fitness), seed=9, n_pop=8, stagnation_limit=25
         ).run()
         assert len(keys) == result.nfe == 176
-        digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
-        assert digest == "c1d15686a836e3055613a7d0a783760bcf42e0414373e3a4130191f6942d7cfd"
+        assert_digest(json.dumps(keys).encode(), "c1d15686a836e3055613a7d0a783760bcf42e0414373e3a4130191f6942d7cfd")
 
     def test_fitness_scores_each_generations_new_subsets_in_one_call(self):
         # one call for the initial population, then one per iteration that

@@ -1,4 +1,3 @@
-import hashlib
 import json
 from dataclasses import fields
 
@@ -20,6 +19,7 @@ from dmc_gawar.pipeline import (
     write_json,
 )
 from dmc_gawar.synthetic import make_planted
+from conftest import assert_digest
 
 
 SMALL = PipelineConfig(
@@ -159,7 +159,7 @@ class TestRunPipeline:
             keep_fraction=0.1, q=20, n_var=5, n_pop=10, stagnation_limit=10, n_splits=5, seed=7
         )
         report = pipeline_report(run_pipeline(matrix, ds.labels, config))
-        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+        assert_digest(json.dumps(report, sort_keys=True).encode(), digest)
 
     def test_one_feature_cannot_be_searched(self, planted):
         matrix = FeatureMatrix(planted.matrix.values[:, :1], ("f0",))
