@@ -30,7 +30,10 @@ a node's last row is no cut.  The scan (``_best_cuts``) keeps only each
 node's lowest Gini on each column (``np.minimum.reduceat``); ``_grow``
 applies the tie rule above to those alone, in one place, and scores the
 winning column again for its cut: a per-node sweep's order, so each tree
-is the one a node-by-node grower builds.
+is the one a node-by-node grower builds.  ``_grow``'s scan of a level
+stops once every open node has a cut of Gini exactly 0: a pure child's
+term is exactly +0.0 and an impure child's positive, so no later column
+beats that cut, and a tie goes to the earlier column.
 The winning grid column's order sends each node's rows left or right, and
 one flat index per block regroups the rows of open children, still
 sorted, for the next level.  Pure nodes, nodes of fewer than 2 rows and
@@ -76,10 +79,11 @@ scores the column's root on every split then, and keeps both; later
 batches gather their columns' rows of those tables.  A root's rows are
 its split's train rows in every forest, so a kept order is the column's
 root order on every split, and a kept root Gini is bit-identical to the
-scan's, as a root's code sums are exact integers.  Every later level is
-scanned.  ``fit_tree`` presorts its own columns, and a batch of wider
-subsets presorts its columns once for all its forests; both scan every
-level and keep nothing.
+scan's, as a root's code sums are exact integers.  That scan reads every
+column, zero cut or not: a kept root serves every later subset that holds
+its column.  Every later level is scanned.  ``fit_tree`` presorts its own
+columns, and a batch of wider subsets presorts its columns once for all
+its forests; both scan every level and keep nothing.
 
 ``METRIC_KEYS`` is the one list of the seven confusion scores, in report
 order; ``ClassificationMetrics.as_dict`` and ``metric_stat`` (the mean or
@@ -232,8 +236,8 @@ def _filter(
         for tree in range(n_trees):
             slot = slots[start : start + width, tree]
             rows = ids.take(slot, axis=0)
-            if n < n_rows:
-                rows = rows[keep[tree].take(rows)].reshape(len(slot), n)
+            if n < n_rows:  # the same rows as rows[mask], several times faster
+                rows = np.compress(keep[tree].take(rows).ravel(), rows).reshape(len(slot), n)
             order[start : start + width, tree] = stacked[tree].take(rows)
             tie = tied.take(slot)
             if tie.any():
@@ -320,13 +324,22 @@ def _best_cuts(
     level's kernel from ``_cut_gini``, is applied to blocks of ``width``
     columns, with ranks only for a block that holds a tied column.  Each
     minimum is divided by its node's ``size`` once: x -> fl(x / s) is
-    monotone, so that is the lowest of the divided cuts."""
-    order, ranks, tied = sorts
+    monotone, so that is the lowest of the divided cuts.  With True added
+    to ``sorts`` (``_grow``: only each node's winner is read) the scan stops
+    after the first block by which every node has a cut of Gini exactly 0,
+    and the later columns read inf."""
+    order, ranks, tied, *winners_only = sorts
     lowest = np.empty((len(order), len(starts)))
+    perfect = np.zeros(len(starts), dtype=bool)  # nodes with a cut of Gini 0 so far
     for start in range(0, len(order), width):
         block = slice(start, start + width)
         block_ranks = ranks[block] if ranks is not None and tied[block].any() else None
         np.minimum.reduceat(weighted(order[block], block_ranks), starts, axis=1, out=lowest[block])
+        if any(winners_only):
+            perfect |= (lowest[block] == 0).any(axis=0)
+            if perfect.all():
+                lowest[start + width :] = np.inf
+                break
     lowest /= size
     return lowest
 
@@ -393,8 +406,9 @@ def _grow(
         positions = np.arange(size.sum(), dtype=index)
         order, ranks = (None if b is None else b[: k * len(positions)].reshape(k, -1) for b in flat)
         starts, node_of, weighted = _cut_gini(y, n, size, ones, k)
-        gini = _best_cuts(weighted, (order, ranks, tied), starts, size, width) if roots is None else roots
-        roots = None  # only the root level is kept
+        gini, roots = roots, None  # the kept roots stand in for the root level's scan only
+        if gini is None:  # True: only each node's winner is read, so the scan may stop early
+            gini = _best_cuts(weighted, (order, ranks, tied, True), starts, size, width)
         # The split rule: a node splits on its earliest column of lowest
         # weighted Gini, at that column's first cut of that value.
         best_column = gini.argmin(axis=0).astype(index)

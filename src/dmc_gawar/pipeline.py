@@ -77,11 +77,13 @@ class PipelineConfig:
         for name, bound in least.items():
             if getattr(self, name) < bound:
                 raise ValueError(f"{name} must be at least {bound}")
-        # A run's time grows in proportion to these two, so each is capped
-        # to keep a run to minutes: every fitness call fits n_splits trees
-        # (a 62 x 2000 run takes about 0.6 s at 10), and every restart is a
-        # full k-means fit (about 0.08 s for 1000 points of 100 values).
-        most = {"n_splits": 1000, "n_restarts": 100}
+        # A run's time grows in proportion to each of these, so each is
+        # capped to keep a run to minutes: every fitness call fits n_splits
+        # trees (a 62 x 2000 run takes about 0.6 s at 10), every restart is
+        # a full k-means fit (about 0.08 s for 1000 points of 100 values),
+        # the first generation draws and scores n_pop subsets, and a search
+        # that keeps improving stops only after max_iterations generations.
+        most = {"n_splits": 1000, "n_restarts": 100, "n_pop": 1000, "max_iterations": 100_000}
         for name, bound in most.items():
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be at most {bound}")
@@ -216,11 +218,19 @@ class ExperimentResult:
     mean_nfe: float
 
 
+def _check_runs(n_runs: int) -> None:
+    """The gate for ``n_runs``: each repeat is a full run and each draw a
+    fitness call, so it is capped like ``PipelineConfig``'s work sizes."""
+    if n_runs < 1:
+        raise ValueError("n_runs must be at least 1")
+    if n_runs > 1000:
+        raise ValueError("n_runs must be at most 1000")
+
+
 def run_experiment(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, n_runs: int = 3
 ) -> ExperimentResult:
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
+    _check_runs(n_runs)
     runs = []
     for i in range(n_runs):
         run_config = PipelineConfig(**{**asdict(config), "seed": config.seed + i})
@@ -253,8 +263,7 @@ def random_baseline(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, n_runs: int = 3
 ) -> BaselineResult:
     """Control arm: uniform subsets of the pool instead of the search."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
+    _check_runs(n_runs)
     stages = build_stages(matrix, labels, config)
     evaluator = build_evaluator(matrix, labels, config)
     draws = []

@@ -113,7 +113,7 @@ def _row_sums(d: np.ndarray, mask: np.ndarray) -> np.ndarray:
     its last axis, the same pairwise sum a 1-D ``sum`` of k values runs."""
     counts = mask.sum(axis=1)
     by_count = np.argsort(counts, kind="stable")
-    selected = d[by_count][mask[by_count]]
+    selected = np.compress(mask[by_count].ravel(), d[by_count])  # d[by_count][mask[by_count]], faster
     sums = np.empty(len(counts))
     ks, firsts, sizes = np.unique(counts[by_count], return_index=True, return_counts=True)
     offset = 0

@@ -152,6 +152,27 @@ def tall_forest():
     return x, np.array([[0, 1], [2, 3]]), train, 2, 2
 
 
+@st.composite
+def short_wide_forests(draw):
+    """(x, y, grid, train, block, Gini table bound): ``tie_heavy_arrays``
+    data of 2 to 16 rows and up to 40 columns, where most nodes have a cut
+    of Gini 0, 1 to 4 trees of n rows each (rows 0 and 1, one per class,
+    and n - 2 others) on their own rows of a (trees x k) column grid, and
+    blocks of 1 to 7 (column, tree) pairs.  A bound of 4 sends every fit
+    of 5 or more rows to the formula, 200 every fit to the table."""
+    n_rows = draw(st.integers(2, 16))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = tie_heavy_arrays(rng, n_rows, m, draw(st.integers(0, 4)))
+    y[:2] = [0, 1]
+    n = draw(st.integers(2, n_rows))
+    trees = draw(st.integers(1, 4))
+    train = np.array([[0, 1, *rng.choice(np.arange(2, n_rows), n - 2, replace=False)] for _ in range(trees)])
+    k = draw(st.integers(1, m))
+    grid = np.array([rng.choice(m, k, replace=False) for _ in range(trees)])
+    return x, y, grid, train, draw(st.integers(1, 7)), draw(st.sampled_from([4, 200]))
+
+
 class TestTree:
     def test_simple_threshold(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -351,6 +372,67 @@ class TestTree:
             want = np.unique(values, return_inverse=True)[1]
             got = np.arange(n) if ranks is None else ranks[j, tree * n : (tree + 1) * n]
             assert np.array_equal(got, want)
+
+    @given(short_wide_forests())
+    def test_early_exit_grows_the_forest_of_a_full_scan(self, problem):
+        # _grow stops a level's scan once every node has a cut of Gini 0;
+        # scanning every column instead must grow the same forest, and
+        # each tree must be the oracle's
+        x, y, grid, train, block, table_max = problem
+        best_cuts, forests = classifier._best_cuts, []
+
+        def full(weighted, sorts, starts, size, width):
+            return best_cuts(weighted, sorts[:3], starts, size, width)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
+            patch.setattr(classifier, "_BLOCK", block)
+            presort = classifier._presort(x, np.unique(grid))
+            for scan in (best_cuts, full):
+                patch.setattr(classifier, "_best_cuts", scan)
+                sorts = classifier._filter(x, presort, grid.T, train, max(1, block // len(train)))
+                forests.append(classifier._grow(x, y, grid, train, sorts))
+            patch.setattr(classifier, "_best_cuts", best_cuts)
+            trees = [fit_tree(x[rows][:, columns], y[rows]) for rows, columns in zip(train, grid)]
+        early, every = forests
+        assert early.depth == every.depth
+        for name in ("feature", "threshold", "left", "prediction"):
+            assert np.array_equal(getattr(early, name), getattr(every, name))
+        for tree, rows, columns in zip(trees, train, grid):
+            assert tree == oracle_fit_tree(x[rows][:, columns], y[rows])
+
+    def test_early_exit_scans_only_the_first_block_when_every_node_is_perfect(self, monkeypatch):
+        # column 0 splits every tree's rows perfectly, so _grow scores only
+        # the first block of 2 of the 8 columns at the root level (and the
+        # winner again for its cut), while _keep scores every column
+        rng = np.random.default_rng(4)
+        y = np.tile([0, 1], 10)
+        x = rng.standard_normal((20, 8))
+        x[:, 0] = y + rng.random(20) / 2
+        train = np.array([[0, 1, *rng.choice(np.arange(2, 20), 10, replace=False)] for _ in range(3)])
+        cut_gini, scored = classifier._cut_gini, []
+
+        def counting(*args):
+            starts, node_of, weighted = cut_gini(*args)
+
+            def counted(order, ranks):
+                scored.append(len(order))
+                return weighted(order, ranks)
+
+            return starts, node_of, counted
+
+        monkeypatch.setattr(classifier, "_cut_gini", counting)
+        monkeypatch.setattr(classifier, "_BLOCK", 6)  # 2 columns of 3 trees per pass
+        columns = np.arange(8)
+        grid = np.tile(columns, (3, 1))
+        sorts = classifier._filter(x, classifier._presort(x, columns), grid.T, train, 2)
+        forest = classifier._grow(x, y, grid, train, sorts)
+        assert scored == [2, 1]
+        assert forest.depth == 1 and (forest.feature[:3] == 0).all()
+        scored.clear()
+        matrix, labels = FeatureMatrix(x, tuple(f"f{j}" for j in columns)), LabelVector(y, ("a", "b"))
+        Evaluator(matrix, labels, n_splits=3, test_fraction=0.25, base_seed=0)._keep(columns)
+        assert scored == [2, 2, 2, 2]
 
     def test_deep_tree_grows_without_recursion(self):
         # alternating labels on distinct values need a cut between every
@@ -772,6 +854,35 @@ class TestBatch:
         assert sorted_columns == []
         assert scanned and {root for _, root in scanned} == {0}
 
+    def test_kept_roots_of_columns_beside_a_perfect_one_are_exact(self, monkeypatch):
+        # column 0 splits every train split perfectly at the root, and the
+        # first batch keeps columns 0-4 in passes of 3 columns; an early exit
+        # there would leave columns 3 and 4 without roots, and (1, 2, 3),
+        # which lacks column 0, roots on column 3
+        rng = np.random.default_rng(12)
+        y = np.tile([0, 1], 12)
+        x = rng.standard_normal((24, 5))
+        x[:, 0] = y + rng.random(24) / 2
+        x[:, 3] = np.where(np.arange(24) == 5, 0.25, x[:, 0])  # row 5, class 1, among the 0s
+        matrix, labels = FeatureMatrix(x, tuple(f"f{j}" for j in range(5))), LabelVector(y, ("a", "b"))
+        n_splits, test_fraction, base_seed = 2, 0.25, 3
+        monkeypatch.setattr(classifier, "_BLOCK", 3 * n_splits)
+        evaluator = Evaluator(matrix, labels, n_splits, test_fraction, base_seed)
+        _, held = stage_in_turn(evaluator, [[(0, 1, 2), (0, 3, 4)], [(1, 2, 3)]])
+        roots = evaluator.tables[2]
+        plans = [stratified_split(labels, test_fraction, base_seed + s) for s in range(n_splits)]
+        for split, plan in enumerate(plans):
+            train = list(plan.train_indices)
+            want = [oracle_lowest_gini(x[train, column], y[train]) for column in range(5)]
+            assert np.array_equal(roots[evaluator.slot, split], want)
+            assert want[0] == 0 and want[3] < min(want[1], want[2])
+        (fresh,) = stage_in_turn(Evaluator(matrix, labels, n_splits, test_fraction, base_seed), [[(1, 2, 3)]])
+        assert held == fresh
+        for (tn, fp, fn, tp), plan in zip(held[(1, 2, 3)], plans):
+            train, test = list(plan.train_indices), list(plan.test_indices)
+            tree = oracle_fit_tree(x[train][:, [1, 2, 3]], y[train])
+            assert (tp, tn, fp, fn) == confusion_counts(y[test], oracle_predict(tree, x[test][:, [1, 2, 3]]))
+
     def test_kept_roots_hold_one_gini_per_split_of_each_sorted_column(self, monkeypatch):
         # the roots table adds n_splits float64s per sorted column, and the
         # seeded search is the one whose subsets are all wide, sorting
@@ -831,10 +942,12 @@ def traced_peak(call) -> float:
 
 class TestPeakMemory:
     """The presort is taken and filtered a block of columns at a time, and
-    a wide tree's order holds one byte per row id.  Measured peaks: 1.57 MB
-    wide and 1.67 MB for the colon run (2.79 and 1.67 MB with an int32
-    sort per split); a filter of all columns at once reads 6.27 and
-    2.07 MB, a presort and filter of all columns 13.6 and 3.94 MB."""
+    a wide tree's order holds one byte per row id.  Measured peaks: 1.55 MB
+    wide and 1.74 MB for the colon run (1.67 MB before ``rankers._row_sums``
+    selected with ``np.compress``, which builds an index array; 2.79 and
+    1.67 MB with an int32 sort per split); a filter of all columns at once
+    reads 6.27 and 2.07 MB, a presort and filter of all columns 13.6 and
+    3.94 MB."""
 
     def test_one_wide_evaluation(self):
         ds = make_planted(47, 25, 7129, 50, 1.0, seed=42)

@@ -399,6 +399,10 @@ class TestExitCodes:
         [
             (("evaluate", "--n-splits", "1001"), "n_splits must be at most 1000"),
             (("cluster", "--n-restarts", "101"), "n_restarts must be at most 100"),
+            (("optimize", "--n-pop", "1001"), "n_pop must be at most 1000"),
+            (("optimize", "--max-iterations", "100001"), "max_iterations must be at most 100000"),
+            (("experiment", "--n-runs", "1001"), "n_runs must be at most 1000"),
+            (("baseline", "--n-runs", "1001"), "n_runs must be at most 1000"),
         ],
     )
     def test_work_sizes_over_the_bound_are_usage_errors(self, capsys, data_csv, argv, message):

@@ -59,6 +59,10 @@ class TestConfigGate:
             ({"n_splits": 2**63}, "n_splits must be at most 1000"),
             ({"n_restarts": 101}, "n_restarts must be at most 100"),
             ({"n_restarts": 2**40}, "n_restarts must be at most 100"),
+            ({"n_pop": 1001}, "n_pop must be at most 1000"),
+            ({"n_pop": 2**63}, "n_pop must be at most 1000"),
+            ({"max_iterations": 100_001}, "max_iterations must be at most 100000"),
+            ({"max_iterations": 2**63}, "max_iterations must be at most 100000"),
         ],
     )
     def test_rejects(self, kwargs, message):
@@ -259,6 +263,10 @@ class TestExperiment:
     def test_n_runs_validated(self, planted):
         with pytest.raises(ValueError):
             run_experiment(planted.matrix, planted.labels, SMALL, n_runs=0)
+        for run in (run_experiment, random_baseline):
+            for n_runs in (1001, 2**63):  # checked before any work
+                with pytest.raises(ValueError, match="^n_runs must be at most 1000$"):
+                    run(planted.matrix, planted.labels, SMALL, n_runs=n_runs)
 
 
 class TestBaseline:
