@@ -41,8 +41,8 @@ nodes constant on every column become leaves.  A level only records its
 nodes, winners and cut rows; the node arrays and thresholds of all levels
 are written in one pass after the last, where a cut's stacked row names
 its tree and so its grid row, so the level loop does no per-node
-bookkeeping.  Positions, cuts and code sums are int32 wherever that is
-exact.
+bookkeeping.  Positions, cuts and code sums are numpy's default integer,
+which holds every one of them.
 
 The trees are flat node arrays: feature, threshold, left child and
 prediction.  The test rows of all trees are routed through them at once,
@@ -98,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector, _binary, stratified_split
+from .data import FeatureMatrix, LabelVector, _binary, _column_ids, _finite, stratified_split
 
 # (column, tree) pairs sorted and scored per pass; bounds the temporaries
 # on wide inputs.
@@ -206,13 +206,14 @@ def _presort(values: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _filter(
-    values: np.ndarray, presort: tuple[np.ndarray, ...], grid: np.ndarray, train: np.ndarray, width: int
+    values: np.ndarray, presort: tuple[np.ndarray, ...], grid: np.ndarray, train: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Every (column, tree) of the (k x trees) column ``grid`` in
     ascending order, filtered from the ``presort`` of its columns to each
     tree's rows of ``train``: (k x stacked rows) stacked row ids, of the
     smallest unsigned type that holds them, and ranks, and whether each
-    grid column is tied in some tree; ``width`` grid columns go per pass.
+    grid column is tied in some tree.  A pass takes ``max(1, _BLOCK //
+    trees)`` grid columns, so at most ``_BLOCK`` (column, tree) pairs.
     A rank counts the gaps below a value, so equal ranks mean no cut; a
     tie-free column ranks its rows 0..n-1, and with no tied column there
     are no ranks (None).  Ties may come in any order: no cut separates
@@ -221,6 +222,7 @@ def _filter(
     slots = np.searchsorted(columns, grid)  # the presort row of each (grid column, tree)
     n_trees, n = train.shape
     n_rows = ids.shape[1]
+    width = max(1, _BLOCK // n_trees)
     order = np.empty((len(slots), n_trees, n), dtype=np.min_scalar_type(train.size))
     tied_grid = tied.take(slots).any(axis=1)
     ranks = None
@@ -258,8 +260,8 @@ def _cut_gini(
     ``ranks`` (None: no tie), inf at a cut between equal values (equal
     ranks) or past a node's last row.  Cut ``i`` lies after position
     ``i``.  ``y`` is the label of each stacked row, ``size`` and ``ones``
-    each node's rows and class-1 rows, all of the integer type that every
-    position, cut and code sum takes.
+    each node's rows and class-1 rows; positions, cuts and code sums are
+    numpy's default integer.
 
     ``order`` holds the stacked row ids of each column's positions.  Codes
     are label + ``stride``: a node's running sum over its first ``i`` rows
@@ -274,28 +276,27 @@ def _cut_gini(
     table = _table_for(n) if n <= GINI_TABLE_MAX_ROWS else None
     stride = 0 if table is None else n + 1
     code = y + stride
-    index = y.dtype
-    starts = size.cumsum(dtype=index) - size
-    node_of = np.repeat(np.arange(len(size), dtype=index), size)
+    starts = size.cumsum() - size
+    node_of = np.repeat(np.arange(len(size)), size)
     of = node_of[:-1]  # node of each cut
     node_code = size * stride + ones
     if table is not None and k > n + 1:
         # node j's sums follow those of the nodes before it, one entry past
         # their codes each, so a cut's running sum plus j is its entry
         span = node_code + 1
-        entry_node = np.repeat(np.arange(len(size), dtype=index), span)
-        left = np.arange(len(entry_node), dtype=index) - (span.cumsum(dtype=index) - span).take(entry_node)
+        entry_node = np.repeat(np.arange(len(size)), span)
+        left = np.arange(len(entry_node)) - (span.cumsum() - span).take(entry_node)
         pairs = table.take(left) + table.take(node_code.take(entry_node) - left)
 
         def terms(running: np.ndarray) -> np.ndarray:
             running += of
             return pairs.take(running)
     else:
-        code_end = node_code.cumsum(dtype=index).take(of)
+        code_end = node_code.cumsum().take(of)
         code_before = code_end - node_code.take(of)
         if table is None:
             inside = of == node_of[1:]  # the cut after a node's last row leaves it
-            left_n = np.arange(len(of), dtype=index) - starts.take(of) + 1.0
+            left_n = np.arange(len(of)) - starts.take(of) + 1.0
             right_n = np.maximum(size.take(of) - left_n, 1.0)  # 0 only where the cut is masked
 
         def terms(running: np.ndarray) -> np.ndarray:
@@ -317,6 +318,7 @@ def _cut_gini(
 def _best_cuts(
     weighted: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     sorts: tuple[np.ndarray, np.ndarray | None, np.ndarray], starts: np.ndarray, size: np.ndarray, width: int,
+    stop_at_zero: bool = False,
 ) -> np.ndarray:
     """(columns x nodes) lowest weighted Gini of each open node on each
     column of ``sorts`` (order, ranks and tie flags, as ``_filter`` gives
@@ -324,18 +326,18 @@ def _best_cuts(
     level's kernel from ``_cut_gini``, is applied to blocks of ``width``
     columns, with ranks only for a block that holds a tied column.  Each
     minimum is divided by its node's ``size`` once: x -> fl(x / s) is
-    monotone, so that is the lowest of the divided cuts.  With True added
-    to ``sorts`` (``_grow``: only each node's winner is read) the scan stops
-    after the first block by which every node has a cut of Gini exactly 0,
-    and the later columns read inf."""
-    order, ranks, tied, *winners_only = sorts
+    monotone, so that is the lowest of the divided cuts.  With
+    ``stop_at_zero`` (``_grow``: only each node's winner is read) the scan
+    stops after the first block by which every node has a cut of Gini
+    exactly 0, and the later columns read inf."""
+    order, ranks, tied = sorts
     lowest = np.empty((len(order), len(starts)))
     perfect = np.zeros(len(starts), dtype=bool)  # nodes with a cut of Gini 0 so far
     for start in range(0, len(order), width):
         block = slice(start, start + width)
         block_ranks = ranks[block] if ranks is not None and tied[block].any() else None
         np.minimum.reduceat(weighted(order[block], block_ranks), starts, axis=1, out=lowest[block])
-        if any(winners_only):
+        if stop_at_zero:
             perfect |= (lowest[block] == 0).any(axis=0)
             if perfect.all():
                 lowest[start + width :] = np.inf
@@ -380,12 +382,9 @@ def _grow(
     k = grid.shape[1]
     rows = train.ravel()  # stacked row -> row of values
     width = max(1, _BLOCK // n_splits)  # columns per block: at most _BLOCK (column, tree) pairs
-    # Positions, cuts, flat (column, position) indices and code sums stay
-    # below max(k, n + 2) * stacked rows: int32 where that fits.
-    index = np.int32 if max(k, n + 2) * len(rows) < 2**31 else np.intp
-    y = labels.take(rows).astype(index)
-    size = np.full(n_splits, n, dtype=index)
-    ones = y.reshape(n_splits, n).sum(axis=1, dtype=index)
+    y = labels.take(rows)
+    size = np.full(n_splits, n)
+    ones = y.reshape(n_splits, n).sum(axis=1)
     root_prediction = (ones > size - ones).astype(np.intp)
     if k == 0 or not _is_open(size, ones).any():
         leaves = np.arange(n_splits)
@@ -403,15 +402,15 @@ def _grow(
     levels = []  # per level: nodes, winning columns, cut rows, child sizes and ones, splits
 
     while len(node):
-        positions = np.arange(size.sum(), dtype=index)
+        positions = np.arange(size.sum())
         order, ranks = (None if b is None else b[: k * len(positions)].reshape(k, -1) for b in flat)
         starts, node_of, weighted = _cut_gini(y, n, size, ones, k)
         gini, roots = roots, None  # the kept roots stand in for the root level's scan only
-        if gini is None:  # True: only each node's winner is read, so the scan may stop early
-            gini = _best_cuts(weighted, (order, ranks, tied, True), starts, size, width)
+        if gini is None:  # only each node's winner is read, so the scan may stop early
+            gini = _best_cuts(weighted, (order, ranks, tied), starts, size, width, stop_at_zero=True)
         # The split rule: a node splits on its earliest column of lowest
         # weighted Gini, at that column's first cut of that value.
-        best_column = gini.argmin(axis=0).astype(index)
+        best_column = gini.argmin(axis=0)
         best = gini.min(axis=0)
         splits = best < np.inf  # the others are constant on every column: leaves
         if not splits.any():
@@ -471,21 +470,13 @@ def _grow(
     return _Forest(feature, threshold, left, prediction, len(levels))
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    """``x`` as float64, if every value is finite."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("x must hold only finite values")
-    return x
-
-
 def fit_tree(x: np.ndarray, y: np.ndarray) -> TreeNode:
     """Grow the full tree; stops at purity, <2 samples, or constant columns."""
-    x, y = _finite(x), _binary(y, "y")
+    x, y = _finite(x, "x"), _binary(y, "y")
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("x must be 2-D with one row per label")
     columns, train = np.arange(x.shape[1]), np.arange(len(y))[None]
-    sorts = _filter(x, _presort(x, columns), columns[:, None], train, _BLOCK)
+    sorts = _filter(x, _presort(x, columns), columns[:, None], train)
     forest = _grow(x, y, columns[None], train, sorts)
     feature, threshold, left = forest.feature.tolist(), forest.threshold.tolist(), forest.left.tolist()
     nodes = [_LEAVES[p] for p in forest.prediction.tolist()]
@@ -503,7 +494,7 @@ def predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
     Each test reads one value as a Python float (``item``), which is cheaper
     than numpy scalar indexing and converts no column the tree leaves unused.
     """
-    x = _finite(x)
+    x = _finite(x, "x")
     out = np.empty(len(x), dtype=int)
     for i in range(len(x)):
         cursor = node
@@ -585,11 +576,10 @@ def _subset_grid(subsets, m: int) -> np.ndarray:
         grid = np.asarray(subsets)
     except ValueError:  # ragged
         raise ValueError("the subsets of a batch must all have the same length") from None
-    if grid.ndim != 2 or grid.size and not (grid.dtype.kind in "iu" and 0 <= grid.min() <= grid.max() < m):
-        raise ValueError(f"features must be 1-D integer column indices in 0..{m - 1}")
+    grid = _column_ids(grid, m, "features", ndim=2)
     if len(grid) and not grid.shape[1]:
         raise ValueError("a subset needs at least one feature")
-    return grid.astype(np.intp, copy=False)
+    return grid
 
 
 class Evaluator:
@@ -683,7 +673,7 @@ class Evaluator:
             if narrow:
                 sorts, roots = self._gather(slots[start // n_splits : (start + per_forest) // n_splits].T)
             else:
-                sorts, roots = _filter(self.values, presort, columns.T, train, max(1, _BLOCK // len(rows))), None
+                sorts, roots = _filter(self.values, presort, columns.T, train), None
             forest = _grow(self.values, self.labels, columns, train, sorts, roots)
             del sorts  # the next forest's buffers take these ones' place, not their side
             predicted.append(_route(forest, self.values, self.test[split[trees]]))
@@ -706,12 +696,12 @@ class Evaluator:
         """Sort distinct, not yet sorted ``columns``, score their roots on
         every split, and append their tables."""
         n_splits, n = self.train.shape
-        width, size = max(1, _BLOCK // n_splits), np.full(n_splits, n)
+        size = np.full(n_splits, n)
         grid = np.broadcast_to(columns[:, None], (len(columns), n_splits))
-        order, ranks, tied = _filter(self.values, _presort(self.values, columns), grid, self.train, width)
+        order, ranks, tied = _filter(self.values, _presort(self.values, columns), grid, self.train)
         y = self.labels.take(self.train.ravel())
         starts, _, weighted = _cut_gini(y, n, size, y.reshape(n_splits, n).sum(axis=1), len(columns))
-        roots = _best_cuts(weighted, (order, ranks, tied), starts, size, width)
+        roots = _best_cuts(weighted, (order, ranks, tied), starts, size, max(1, _BLOCK // n_splits))
         if ranks is None:  # a later forest may hold a tied column beside these
             ranks = np.resize(np.arange(n, dtype=np.min_scalar_type(n)), order.shape)
         new = order.astype(np.int32), ranks, roots, tied  # room for _gather's offsets

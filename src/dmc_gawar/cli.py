@@ -217,9 +217,9 @@ def _parse_features(text: str, m: int) -> np.ndarray:
         raise ValueError(f"cannot parse feature list {text!r}") from None
     if not indices:
         raise ValueError("feature list is empty")
-    arr = np.array(indices, dtype=int)
-    if arr.min() < 0 or arr.max() >= m:
+    if min(indices) < 0 or max(indices) >= m:  # on Python ints: int64 overflows at 2**63
         raise ValueError(f"feature indices must lie in 0..{m - 1}")
+    arr = np.array(indices, dtype=int)
     if len(np.unique(arr)) != len(arr):
         raise ValueError("feature indices must be distinct")
     return arr

@@ -74,6 +74,31 @@ def _binary(codes, name: str) -> np.ndarray:
     return codes.astype(int)
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as float64, if every one is finite.  A NaN propagates to
+    the minimum and an infinity is the minimum or the maximum, so the check
+    makes no temporary the size of ``values``: in repeated ``cluster``
+    calls on 100 x 20000 data, the 100 KB mask of ``minmax_normalize``'s
+    input changed the heap so that a later CSV load's 11 MB row buffer
+    stayed resident."""
+    values = np.asarray(values, dtype=float)
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(f"{name} must hold only finite values")
+    return values
+
+
+def _column_ids(ids, m: int | None, name: str, ndim: int = 1) -> np.ndarray:
+    """``ids`` as an ``ndim``-D intp array, if every one is an integer, and
+    a column id in 0..m-1 unless ``m`` is None: a float is not truncated to
+    a column, nor a bool read as one."""
+    ids = np.asarray(ids)
+    integers = ids.dtype.kind in "iu" or not ids.size
+    if ids.ndim != ndim or not integers or m is not None and ids.size and not 0 <= ids.min() <= ids.max() < m:
+        bounds = "" if m is None else f" in 0..{m - 1}"
+        raise ValueError(f"{name} must be 1-D integer column indices{bounds}")
+    return ids.astype(np.intp, copy=False)
+
+
 def _read_only(values: np.ndarray) -> np.ndarray:
     """``values``, marked read-only: a ``FeatureMatrix`` holds such an
     array without a copy."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix
+from .data import FeatureMatrix, _column_ids, _finite
 
 
 # Coordinates measured per pass of the exact recheck in ``_assign``.  Points
@@ -65,12 +65,13 @@ class ClusterModel:
 
 def minmax_normalize(columns: np.ndarray) -> np.ndarray:
     """Scale each column to [0, 1]; constant columns become all zeros.
+    Every value must be finite.
 
     A column whose range overflows (finite values such as -1e308 and 1e308)
     is halved first.  Halving is exact, so its cells come out as they would
     in arithmetic without overflow, and every other column is untouched.
     """
-    columns = np.asarray(columns, dtype=float)
+    columns = _finite(columns, "columns")
     lo = columns.min(axis=0)
     hi = columns.max(axis=0)
     with np.errstate(over="ignore"):
@@ -237,7 +238,7 @@ def cluster_features(
     ``n_restarts`` independent seedings and keeps the lowest final inertia;
     restart streams are spawned from the seed so results are reproducible.
     """
-    retained = np.asarray(retained, dtype=int)
+    retained = _column_ids(retained, matrix.m, "retained")
     if len(retained) == 0:
         raise ValueError("retained feature set is empty")
     if q < 1:
@@ -270,7 +271,7 @@ def build_feature_space(
 
     Returns original-matrix feature indices; length equals the cluster count.
     """
-    retained = np.asarray(retained, dtype=int)
+    retained = _column_ids(retained, None, "retained")
     rng = np.random.default_rng(seed)
     members_of = [np.flatnonzero(model.assignments == k) for k in range(model.n_clusters)]
     space = []

@@ -35,6 +35,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import _column_ids
+
 INITIAL_CROSSOVER_TENTHS = 9
 INITIAL_MUTATION_TENTHS = 4
 CROSSOVER_FLOOR_TENTHS = 3
@@ -185,7 +187,7 @@ class SubsetOptimizer:
         stagnation_limit: int = 30,
         max_iterations: int = 1000,
     ):
-        space = np.asarray(space, dtype=int)
+        space = _column_ids(space, None, "candidate pool members")
         if len(np.unique(space)) != len(space):
             raise ValueError("candidate pool members must be distinct")
         if n_var < 1:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector
+from .data import FeatureMatrix, LabelVector, _binary, _finite
 
 # The scoring methods: the distance score and the mutual-congestion width.
 METHODS = ("dmc", "mc")
@@ -75,16 +75,13 @@ class CongestionRegion:
 
 
 def _check_labels(labels: np.ndarray) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() > 1):
-        raise ValueError("labels must be coded 0/1")
     if not ((labels == 0).any() and (labels == 1).any()):
         raise ValueError("the congestion region needs both classes in the labels")
 
 
 def find_region(values: np.ndarray, labels: np.ndarray) -> CongestionRegion:
     """Locate the congestion region of one feature column."""
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    values, labels = _finite(values, "values"), _binary(labels, "labels")
     if values.ndim != 1 or values.shape != labels.shape:
         raise ValueError("values and labels must be equal-length 1-D arrays")
     _check_labels(labels)
@@ -175,10 +172,10 @@ def _score_columns(values: np.ndarray, labels: np.ndarray, method: str) -> np.nd
 
 
 def _one_column(values: np.ndarray, labels: np.ndarray, method: str) -> float:
-    values = np.asarray(values, dtype=float)
+    values = _finite(values, "values")
     if values.ndim != 1:
         raise ValueError("values and labels must be equal-length 1-D arrays")
-    return float(_score_columns(values[:, None], np.asarray(labels, dtype=int), method)[0])
+    return float(_score_columns(values[:, None], _binary(labels, "labels"), method)[0])
 
 
 def mc_score(values: np.ndarray, labels: np.ndarray) -> float:

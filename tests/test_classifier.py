@@ -325,21 +325,18 @@ class TestTree:
         # that hold a tied column
         x, y, sizes, width, table_max = layout
         n, k = x.shape
-        index = np.int32
         ones = np.add.reduceat(y, np.cumsum(sizes) - sizes)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
-            starts, _, weighted = classifier._cut_gini(
-                y.astype(index), n, sizes.astype(index), ones.astype(index), k
-            )
+            starts, _, weighted = classifier._cut_gini(y, n, sizes, ones, k)
         order = np.concatenate([
             start + np.argsort(x[start : start + size], axis=0, kind="stable")
             for start, size in zip(starts, sizes)
-        ]).T.astype(index)
+        ]).T
         tied = np.array([len(np.unique(x[:, column])) < n for column in range(k)])
         ranks = np.unique(x, return_inverse=True)[1].reshape(x.shape).T
         ranks = np.take_along_axis(ranks, order, axis=1) if tied.any() else None
-        got = classifier._best_cuts(weighted, (order, ranks, tied), starts, sizes.astype(index), width)
+        got = classifier._best_cuts(weighted, (order, ranks, tied), starts, sizes, width)
         want = np.array([
             [oracle_lowest_gini(x[start : start + size, column], y[start : start + size])
              for start, size in zip(starts, sizes)]
@@ -359,8 +356,9 @@ class TestTree:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "_BLOCK", presort_width)
             presort = classifier._presort(x, np.unique(grid))
+            patch.setattr(classifier, "_BLOCK", width * len(train))  # width grid columns per pass
+            order, ranks, tied = classifier._filter(x, presort, grid, train)
         assert presort[1].dtype == np.min_scalar_type(len(x))
-        order, ranks, tied = classifier._filter(x, presort, grid, train, width)
         column_tied = np.array([len(np.unique(column)) < len(x) for column in x.T])
         assert np.array_equal(tied, column_tied[grid].any(axis=1))
         assert (ranks is None) == (not tied.any())
@@ -381,8 +379,8 @@ class TestTree:
         x, y, grid, train, block, table_max = problem
         best_cuts, forests = classifier._best_cuts, []
 
-        def full(weighted, sorts, starts, size, width):
-            return best_cuts(weighted, sorts[:3], starts, size, width)
+        def full(weighted, sorts, starts, size, width, stop_at_zero=False):
+            return best_cuts(weighted, sorts, starts, size, width)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
@@ -390,7 +388,7 @@ class TestTree:
             presort = classifier._presort(x, np.unique(grid))
             for scan in (best_cuts, full):
                 patch.setattr(classifier, "_best_cuts", scan)
-                sorts = classifier._filter(x, presort, grid.T, train, max(1, block // len(train)))
+                sorts = classifier._filter(x, presort, grid.T, train)
                 forests.append(classifier._grow(x, y, grid, train, sorts))
             patch.setattr(classifier, "_best_cuts", best_cuts)
             trees = [fit_tree(x[rows][:, columns], y[rows]) for rows, columns in zip(train, grid)]
@@ -425,7 +423,7 @@ class TestTree:
         monkeypatch.setattr(classifier, "_BLOCK", 6)  # 2 columns of 3 trees per pass
         columns = np.arange(8)
         grid = np.tile(columns, (3, 1))
-        sorts = classifier._filter(x, classifier._presort(x, columns), grid.T, train, 2)
+        sorts = classifier._filter(x, classifier._presort(x, columns), grid.T, train)
         forest = classifier._grow(x, y, grid, train, sorts)
         assert scored == [2, 1]
         assert forest.depth == 1 and (forest.feature[:3] == 0).all()
@@ -834,11 +832,11 @@ class TestBatch:
             sorted_columns.extend(columns.tolist())
             return presort(values, columns)
 
-        def counting(weighted, sorts, starts, size, width):
+        def counting(weighted, sorts, starts, size, width, **kwargs):
             assert np.array_equal(np.diff(starts, append=sorts[0].shape[1]), size)
             assert (size == n).all() or (size < n).all()  # a root level, or none of it
             scanned.append((len(sorts[0]), int(size[0] == n)))
-            return best_cuts(weighted, sorts, starts, size, width)
+            return best_cuts(weighted, sorts, starts, size, width, **kwargs)
 
         monkeypatch.setattr(classifier, "_presort", sorting)
         monkeypatch.setattr(classifier, "_best_cuts", counting)

@@ -1,8 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dmc_gawar import cli
 from dmc_gawar.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
@@ -324,6 +330,9 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         code, _ = run_cli(capsys, "evaluate", data_csv, "--features", "1,1")
         assert code == EXIT_USAGE
+        code = main(["evaluate", data_csv, "--features", f"1,{2**63}"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "dmc-gawar: invalid option: feature indices must lie in 0..23\n"
 
     def test_unparsable_feature_list_is_usage_error(self, capsys, data_csv):
         code = main(["evaluate", data_csv, "--features", "1,x"])
@@ -552,3 +561,90 @@ class TestExitCodes:
         assert main(["pipeline", data_csv, *FAST, "--output", str(first)]) == EXIT_OK
         assert main(["pipeline", data_csv, *FAST, "--output", str(second)]) == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
+
+
+# Edge values drawn for any flag: zero, negative, past int64, NaN,
+# infinity, empty and not a number.
+EDGE_VALUES = ("0", "-1", str(2**63), "nan", "inf", "", "x")
+_ROWS = "".join(f"{i},{i % 3},{i * 7 % 5},{'ab'[i % 2]}\n" for i in range(10))
+# Tiny data files: a valid one, one class, constant columns, a byte-order
+# mark and a repeated header name.
+TINY_CSVS = {
+    "valid": "f0,f1,f2,label\n" + _ROWS,
+    "one-class": "f0,f1,label\n" + "".join(f"{i},{i % 4},a\n" for i in range(10)),
+    "constant": "f0,f1,label\n" + "".join(f"1,2,{'ab'[i % 2]}\n" for i in range(10)),
+    "bom": "\ufefff0,f1,f2,label\n" + _ROWS,
+    "repeated-header": "f0,f0,f2,label\n" + _ROWS,
+}
+# Work-size flags set small in every draw; the drawn flag comes after them
+# and wins.  Every value drawn for --max-iterations (0, -1, past its bound,
+# not an integer) is rejected before any work, so the cap of 3 holds in
+# every draw that runs a search, and a huge --stagnation-limit stops there.
+# The other drawn work sizes past a bound are rejected by the same gate
+# (n_splits, n_restarts, n_pop, n_runs) or clamped to the data (q, n_var).
+SMALL_WORK = {
+    "keep-fraction": "1", "n-restarts": "1", "n-var": "2", "n-pop": "4", "stagnation-limit": "2",
+    "max-iterations": "3", "n-splits": "2", "n-runs": "1",
+}
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call; an
+    argparse exit counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def working_directory(path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+class TestEdgeValues:
+    def test_small_work_flags_are_flags(self):
+        assert set(SMALL_WORK) <= set(cli._HELP)
+
+    @given(
+        st.sampled_from(sorted(cli._COMMANDS)),
+        st.sampled_from(sorted(cli._HELP)),
+        st.sampled_from(EDGE_VALUES),
+        st.sampled_from(sorted(TINY_CSVS)),
+    )
+    @example("evaluate", "features", str(2**63), "valid")  # was an internal OverflowError
+    def test_any_flag_with_an_edge_value_ends_cleanly(self, command, flag, value, data):
+        """Any subcommand, any flag of the parser's table (one the command
+        does not take is a usage error too), any edge value, any tiny file:
+        the exit code is 0, 1 or 2, never an internal error, and a failure
+        prints one line (after argparse's usage, for a parser error) and
+        no report.  Output files land in a fresh directory per draw."""
+        small = [arg for name in cli._COMMANDS[command][1] if name in SMALL_WORK
+                 for arg in ("--" + name, SMALL_WORK[name])]
+        with tempfile.TemporaryDirectory() as tmp, working_directory(tmp):
+            with open("data.csv", "w", encoding="utf-8") as fh:
+                fh.write(TINY_CSVS[data])
+            code, out, err = run_captured([command, "data.csv", *small, f"--{flag}={value}"])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), err
+        assert "internal error" not in err
+        if code == EXIT_OK:
+            assert err == ""
+            return
+        assert out == ""
+        message, prefix = err, "dmc-gawar: "
+        # argparse prints the usage of the parser that failed, then one line
+        for parser in (cli.build_parser(), subparsers()[command]):
+            usage = parser.format_usage()
+            if err.startswith(usage):
+                message, prefix = err[len(usage):], f"{parser.prog}: error: "
+                assert code == EXIT_USAGE
+        assert message.startswith(prefix), err
+        assert message.count("\n") == 1 and message.endswith("\n"), err

@@ -76,6 +76,12 @@ class TestNormalize:
         out = minmax_normalize(column)
         assert np.array_equal(np.argsort(out[:, 0]), np.argsort(column[:, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN column used to come out as zeros, like a constant one
+        with pytest.raises(ValueError, match="columns must hold only finite values"):
+            minmax_normalize([[bad, 1.0], [2.0, 3.0]])
+
 
 class TestClustering:
     def test_assignments_partition_and_fill_clusters(self):
@@ -133,6 +139,14 @@ class TestClustering:
             cluster_features(matrix, np.array([], dtype=int), q=2, seed=0)
         with pytest.raises(ValueError):
             cluster_features(matrix, np.arange(6), q=0, seed=0)
+
+    # floats used to be truncated and -1 to wrap: [1.7, -1, 29] clustered
+    # columns 1, 29 and 29
+    @pytest.mark.parametrize("retained", [[1.7, -1, 29], [0.0, 1.0], [-1, 2], [3, 30], [True, False]])
+    def test_retained_must_be_columns(self, retained):
+        matrix, vec = random_dataset(8, 8, 30, seed=3)
+        with pytest.raises(ValueError, match=r"retained must be 1-D integer column indices in 0\.\.29"):
+            cluster_features(matrix, retained, q=2, seed=0)
 
     def test_iteration_cap_stops_an_unconverged_run(self, monkeypatch):
         matrix, vec = random_dataset(10, 10, 40, seed=0)
@@ -249,6 +263,12 @@ class TestFeatureSpace:
         model = cluster_features(matrix, retained, q=3, seed=1)
         space = build_feature_space(retained, model, seed=5)
         assert set(space.tolist()) <= set(retained.tolist())
+
+    def test_retained_must_be_integers(self):
+        matrix, vec = random_dataset(8, 8, 30, seed=3)
+        model = cluster_features(matrix, np.arange(3), q=2, seed=1)
+        with pytest.raises(ValueError, match="retained must be 1-D integer column indices"):
+            build_feature_space([0.5, 1.5, 2.5], model, seed=2)
 
     def test_deterministic_draw(self):
         matrix, vec = random_dataset(8, 8, 24, seed=7)

@@ -321,6 +321,9 @@ class TestSubsetOptimizer:
             SubsetOptimizer(range(5), 0, per_subset(lambda g: 0.0), seed=0)
         with pytest.raises(ValueError):
             SubsetOptimizer(range(5), 2, per_subset(lambda g: 0.0), seed=0, n_pop=1)
+        # not truncated to the pool 0..3
+        with pytest.raises(ValueError, match="candidate pool members must be 1-D integer column indices"):
+            SubsetOptimizer([0.5, 1.5, 2.5, 3.9], 2, per_subset(lambda g: 0.0), seed=0)
 
 
 @st.composite

@@ -126,6 +126,20 @@ class TestScores:
         with pytest.raises(ValueError, match="needs both classes"):
             scorer(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
 
+    # labels used to be truncated to ints: mc_score scored [0, 0, 1, 1]
+    @pytest.mark.parametrize("labels", [[0.5, 0.9, 1, 1], [0.2, 0, 1, 1.7], [0, 2, 1, 1], [-1, 0, 1, 1]])
+    @pytest.mark.parametrize("scorer", [find_region, dmc_score, mc_score])
+    def test_labels_must_be_binary(self, scorer, labels):
+        with pytest.raises(ValueError, match="labels must be coded 0/1"):
+            scorer(np.array([1.0, 2.0, 3.0, 4.0]), np.array(labels))
+
+    # dmc_score returned nan and mc_score 0.75 for a NaN value
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scorer", [find_region, dmc_score, mc_score])
+    def test_values_must_be_finite(self, scorer, bad):
+        with pytest.raises(ValueError, match="values must hold only finite values"):
+            scorer(np.array([bad, 1.0, 2.0, 3.0]), np.array([0, 0, 1, 1]))
+
     @given(tie_heavy_screens(), st.integers(1, 5))
     def test_blocks_equal_per_column_reference(self, screen, block):
         """Block-wise scores are bit-identical to the per-column numpy
