@@ -57,11 +57,10 @@ _CONFIG_FIELDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract reserves 2 for data."""
+    """A usage error is a ValueError: ``main`` prints one line, exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
 def _load_config_file(path) -> dict:
@@ -262,13 +261,12 @@ def _cmd_baseline(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_output_dirs(args)
         report = args.handler(args)
         _emit(report, args)
-    except (DataError, FileNotFoundError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"dmc-gawar: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -134,8 +134,7 @@ class FeatureMatrix:
             raise ValueError("feature_names length does not match column count")
         if len(set(self.feature_names)) != m:
             raise ValueError("feature_names must be unique")
-        if not np.isfinite(values).all():
-            raise ValueError("all cells must be finite")
+        _finite(values, "values")
 
     @property
     def n(self) -> int:

@@ -87,6 +87,13 @@ class PipelineConfig:
         for name, bound in most.items():
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be at most {bound}")
+        # Each number is held as its field's Python type, so a numpy scalar
+        # serialises and 1 and 1.0 give the same report.  Cast after the
+        # range checks: a huge integer fraction is refused, not overflowed.
+        for field in fields(self):
+            cast = {"int": int, "float": float}.get(field.type)
+            if cast is not None:
+                object.__setattr__(self, field.name, cast(getattr(self, field.name)))
 
 
 @dataclass(frozen=True)

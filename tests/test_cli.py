@@ -249,6 +249,16 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err == "dmc-gawar: invalid option: config file must hold a JSON object\n"
 
+    def test_whole_fraction_in_file_reports_as_the_flag_does(self, capsys, data_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"keep_fraction": 1}))
+        flags = FAST[2:]  # all but --keep-fraction
+        assert main(["pipeline", data_csv, *flags, "--config", str(config)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        assert main(["pipeline", data_csv, *flags, "--keep-fraction", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == from_file
+        assert '"keep_fraction": 1.0,' in from_file
+
     def test_config_keys_are_exactly_the_config_fields(self, capsys, data_csv, tmp_path):
         # every field, each off its default, is read from the file ...
         shifted = {"int": lambda v: v + 1, "float": lambda v: v / 2, "str": lambda v: "mc"}
@@ -388,14 +398,19 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_unknown_subcommand_exits_one(self, capsys, data_csv):
-        with pytest.raises(SystemExit) as info:
-            main(["frobnicate", data_csv])
-        assert info.value.code == EXIT_USAGE
+        assert main(["frobnicate", data_csv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "dmc-gawar: invalid option: argument command: invalid choice: 'frobnicate' (choose from "
+            "'rank', 'cluster', 'optimize', 'evaluate', 'pipeline', 'experiment', 'baseline')\n"
+        )
 
     def test_unknown_flag_exits_one(self, capsys, data_csv):
-        with pytest.raises(SystemExit) as info:
-            main(["rank", data_csv, "--bogus"])
-        assert info.value.code == EXIT_USAGE
+        assert main(["rank", data_csv, "--bogus"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dmc-gawar: invalid option: unrecognized arguments: --bogus\n"
 
     def test_zero_restarts_is_usage_error(self, capsys, data_csv):
         code = main(["cluster", data_csv, "--n-restarts", "0"])
@@ -589,14 +604,10 @@ SMALL_WORK = {
 
 
 def run_captured(argv):
-    """(exit code, stdout, stderr) of one in-process ``main`` call; an
-    argparse exit counts as its code."""
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exit_info:
-            code = exit_info.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -621,12 +632,16 @@ class TestEdgeValues:
         st.sampled_from(sorted(TINY_CSVS)),
     )
     @example("evaluate", "features", str(2**63), "valid")  # was an internal OverflowError
+    # one draw of each kind of parser error
+    @example("rank", "n-pop", "4", "valid")  # a flag the subcommand does not take
+    @example("pipeline", "seed", "x", "valid")  # not an integer
+    @example("pipeline", "method", "0", "valid")  # not one of the choices
     def test_any_flag_with_an_edge_value_ends_cleanly(self, command, flag, value, data):
         """Any subcommand, any flag of the parser's table (one the command
         does not take is a usage error too), any edge value, any tiny file:
         the exit code is 0, 1 or 2, never an internal error, and a failure
-        prints one line (after argparse's usage, for a parser error) and
-        no report.  Output files land in a fresh directory per draw."""
+        prints one line and no report, a parser error included.  Output
+        files land in a fresh directory per draw."""
         small = [arg for name in cli._COMMANDS[command][1] if name in SMALL_WORK
                  for arg in ("--" + name, SMALL_WORK[name])]
         with tempfile.TemporaryDirectory() as tmp, working_directory(tmp):
@@ -639,12 +654,5 @@ class TestEdgeValues:
             assert err == ""
             return
         assert out == ""
-        message, prefix = err, "dmc-gawar: "
-        # argparse prints the usage of the parser that failed, then one line
-        for parser in (cli.build_parser(), subparsers()[command]):
-            usage = parser.format_usage()
-            if err.startswith(usage):
-                message, prefix = err[len(usage):], f"{parser.prog}: error: "
-                assert code == EXIT_USAGE
-        assert message.startswith(prefix), err
-        assert message.count("\n") == 1 and message.endswith("\n"), err
+        assert err.startswith("dmc-gawar: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err

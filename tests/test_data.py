@@ -343,9 +343,10 @@ class TestContainers:
         x.flags.writeable = False
         assert FeatureMatrix(x, ("a", "b")).values is x
 
-    def test_matrix_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            FeatureMatrix(np.array([[1.0], [np.inf], [0.0]]), ("a",))
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_matrix_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^values must hold only finite values$"):
+            FeatureMatrix(np.array([[1.0], [bad], [0.0]]), ("a",))
 
     def test_matrix_rejects_duplicate_names(self):
         with pytest.raises(ValueError):

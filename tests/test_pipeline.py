@@ -44,6 +44,7 @@ class TestConfigGate:
             ({"method": "MC"}, "method must be 'dmc' or 'mc'"),
             ({"keep_fraction": 0.0}, r"keep_fraction must be in \(0, 1\]"),
             ({"keep_fraction": 1.5}, r"keep_fraction must be in \(0, 1\]"),
+            ({"keep_fraction": 10**400}, r"keep_fraction must be in \(0, 1\]"),  # too big for a float
             ({"test_fraction": 1.0}, r"test_fraction must be in \(0, 1\)"),
             ({"q": 0}, "q must be at least 1"),
             ({"n_var": 0}, "n_var must be at least 1"),
@@ -77,8 +78,23 @@ class TestConfigGate:
             PipelineConfig(**{name: "7"})
 
     def test_accepts_numpy_scalars_and_whole_fractions(self):
-        config = PipelineConfig(q=np.int64(5), keep_fraction=1, test_fraction=np.float64(0.25))
-        assert config.q == 5
+        config = PipelineConfig(q=np.int64(5), keep_fraction=1, test_fraction=np.float32(0.25), seed=np.uint8(7))
+        assert config == PipelineConfig(q=5, keep_fraction=1.0, test_fraction=0.25, seed=7)
+        for field in fields(PipelineConfig):  # held as the field's own type
+            assert type(getattr(config, field.name)).__name__ == field.type, field.name
+
+    def test_numpy_scalar_config_serialises(self, planted):
+        numpy_config = PipelineConfig(
+            keep_fraction=np.float64(0.4), q=np.int64(10), n_var=np.int64(3), n_pop=np.int32(8),
+            stagnation_limit=np.int64(6), n_splits=np.int64(4), seed=np.int64(1),
+        )
+        data = (planted.matrix, planted.labels)
+        assert pipeline.report_text(pipeline_report(run_pipeline(*data, numpy_config))) == (
+            pipeline.report_text(pipeline_report(run_pipeline(*data, SMALL)))
+        )
+        assert pipeline.report_text(experiment_report(run_experiment(*data, numpy_config, n_runs=1))) == (
+            pipeline.report_text(experiment_report(run_experiment(*data, SMALL, n_runs=1)))
+        )
 
 
 class TestEffectiveSizes:
