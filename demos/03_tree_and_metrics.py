@@ -28,7 +28,7 @@ print("training agreement on parity corners:", agreement)
 y_true = np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
 y_pred = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 1])
 tp, tn, fp, fn = confusion_counts(y_true, y_pred)
-metrics = ClassificationMetrics.from_counts(tp, tn, fp, fn)
+metrics = ClassificationMetrics(tp, tn, fp, fn)
 print(f"\ncounts: TP={tp} TN={tn} FP={fp} FN={fn}")
 for name, value in metrics.as_dict().items():
     print(f"  {name:12s} {value:.4f}")

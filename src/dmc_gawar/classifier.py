@@ -507,14 +507,15 @@ def predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
 def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, int]:
     """(TP, TN, FP, FN) of labels coded 0/1, class 1 positive."""
     y_true, y_pred = _binary(y_true, "labels"), _binary(y_pred, "predictions")
-    ((tn, fp, fn, tp),) = _confusion_rows(y_true[None], y_pred[None])
+    ((tp, tn, fp, fn),) = _confusion_rows(y_true[None], y_pred[None])
     return tp, tn, fp, fn
 
 
 def _confusion_rows(y_true: np.ndarray, y_pred: np.ndarray) -> list[list[int]]:
-    """[TN, FP, FN, TP] of each row of two (splits x rows) arrays of 0/1."""
-    cells = 4 * np.arange(len(y_true))[:, None] + 2 * y_true + y_pred
-    return np.bincount(cells.ravel(), minlength=4 * len(y_true)).reshape(-1, 4).tolist()
+    """[TP, TN, FP, FN] of each row of two (splits x rows) arrays of 0/1."""
+    cells = 4 * np.arange(len(y_true))[:, None] + 2 * y_true + y_pred  # a row's TN, FP, FN, TP
+    counts = np.bincount(cells.ravel(), minlength=4 * len(y_true)).reshape(-1, 4)
+    return counts[:, [3, 0, 1, 2]].tolist()
 
 
 def _safe_div(numerator: float, denominator: float) -> float:
@@ -523,34 +524,47 @@ def _safe_div(numerator: float, denominator: float) -> float:
 
 @dataclass(frozen=True)
 class ClassificationMetrics:
-    """Confusion-derived scores; every 0/0 collapses to 0 by convention."""
+    """The confusion counts of one split; each score is derived from them,
+    and every 0/0 collapses to 0 by convention."""
 
     tp: int
     tn: int
     fp: int
     fn: int
-    overall: float
-    recall: float
-    specificity: float
-    balanced: float
-    precision: float
-    f_measure: float
-    mcc: float
 
-    @classmethod
-    def from_counts(cls, tp: int, tn: int, fp: int, fn: int) -> "ClassificationMetrics":
-        overall = _safe_div(tp + tn, tp + tn + fp + fn)
-        recall = _safe_div(tp, tp + fn)
-        specificity = _safe_div(tn, tn + fp)
-        balanced = (recall + specificity) / 2.0
-        precision = _safe_div(tp, tp + fp)
-        f_measure = _safe_div(2.0 * precision * recall, precision + recall)
+    @property
+    def overall(self) -> float:
+        return _safe_div(self.tp + self.tn, self.tp + self.tn + self.fp + self.fn)
+
+    @property
+    def recall(self) -> float:
+        return _safe_div(self.tp, self.tp + self.fn)
+
+    @property
+    def specificity(self) -> float:
+        return _safe_div(self.tn, self.tn + self.fp)
+
+    @property
+    def balanced(self) -> float:
+        return (self.recall + self.specificity) / 2.0
+
+    @property
+    def precision(self) -> float:
+        return _safe_div(self.tp, self.tp + self.fp)
+
+    @property
+    def f_measure(self) -> float:
+        precision, recall = self.precision, self.recall
+        return _safe_div(2.0 * precision * recall, precision + recall)
+
+    @property
+    def mcc(self) -> float:
+        tp, tn, fp, fn = self.tp, self.tn, self.fp, self.fn
         # the integer product, rounded once to float64, equals the float64
         # product numpy formed while that stays below 2**53 (every partial
         # product is then exact)
         product = math.prod((tp + fp, tp + fn, tn + fp, tn + fn))
-        mcc = (tp * tn - fp * fn) / math.sqrt(float(product)) if product else 0.0
-        return cls(tp, tn, fp, fn, overall, recall, specificity, balanced, precision, f_measure, mcc)
+        return (tp * tn - fp * fn) / math.sqrt(float(product)) if product else 0.0
 
     def as_dict(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in METRIC_KEYS}
@@ -616,7 +630,7 @@ class Evaluator:
         self.test_labels = labels.labels[self.test]
         self.slot = np.full(matrix.m, -1, dtype=np.intp)  # column -> table row, -1 not yet sorted
         self.tables: tuple[np.ndarray, ...] = ()
-        # column tuple -> per-split [TN, FP, FN, TP], held until collected
+        # column tuple -> per-split [TP, TN, FP, FN], held until collected
         self.staged: dict[tuple[int, ...], list[list[int]]] = {}
 
     def check(self, matrix: FeatureMatrix, labels: LabelVector, **settings) -> None:
@@ -640,7 +654,7 @@ class Evaluator:
         self.staged.update(zip(map(tuple, grid.tolist()), self.counts(grid)))
 
     def counts(self, grid: np.ndarray) -> list[list[list[int]]]:
-        """Per-split [TN, FP, FN, TP] of each subset of a (subsets x k)
+        """Per-split [TP, TN, FP, FN] of each subset of a (subsets x k)
         ``grid`` of column ids.  The batch's trees, in (subset, split)
         order, grow as consecutive forests.  Narrow subsets (``k * n_splits
         <= _BLOCK``) read the kept tables, ``max(1, _BLOCK // (2 *
@@ -738,7 +752,7 @@ def evaluate_subset(
         if key not in evaluator.staged:
             evaluator.stage(grid)
         counts = evaluator.staged.pop(key)
-    per_split = [ClassificationMetrics.from_counts(tp, tn, fp, fn) for tn, fp, fn, tp in counts]
+    per_split = [ClassificationMetrics(*split) for split in counts]
     mean_overall = float(np.mean([m.overall for m in per_split]))
     return mean_overall, per_split
 

@@ -8,7 +8,8 @@ also be supplied through a JSON config file; explicit flags win over the
 file, and the file wins over built-in defaults.
 
 Exit codes: 0 success, 1 usage or bad option values, 2 unreadable or
-malformed data, 3 internal failure.
+malformed data, 3 internal failure.  A config file that cannot be read is
+a bad option value, and flags cannot be abbreviated.
 """
 
 from __future__ import annotations
@@ -64,8 +65,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """The file's entries.  The file is an option's value, so one that
+    cannot be opened or read is a usage error, not a data error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
@@ -146,10 +152,11 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dmc-gawar", description=__doc__.splitlines()[0])
+    # allow_abbrev=False: a prefix of a flag is an unrecognized argument
+    parser = _Parser(prog="dmc-gawar", description=__doc__.splitlines()[0], allow_abbrev=False)
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_text, flags) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         sub.add_argument("data", help="CSV file: header row, numeric features, label column")
         for flag in ("label-column", "config", "output", "seed", *flags):
             option = {"type": _CONFIG_FIELDS.get(flag.replace("-", "_")), **_OPTIONS.get(flag, {})}

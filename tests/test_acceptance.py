@@ -177,14 +177,14 @@ def test_criterion_06_planted_optimum_recovery():
 
 @criterion(7, "confusion metrics match an independent oracle on 50 matrices")
 def test_criterion_07_metrics_match_oracle():
-    worked = ClassificationMetrics.from_counts(3, 5, 1, 1)
+    worked = ClassificationMetrics(3, 5, 1, 1)
     assert worked.overall == pytest.approx(0.8)
     assert worked.mcc == pytest.approx(14 / 24)
 
     rng = np.random.default_rng(77)
     for _ in range(50):
         tp, tn, fp, fn = (int(v) for v in rng.integers(0, 25, size=4))
-        got = ClassificationMetrics.from_counts(tp, tn, fp, fn).as_dict()
+        got = ClassificationMetrics(tp, tn, fp, fn).as_dict()
         want = oracle_metrics(tp, tn, fp, fn)
         for key, value in want.items():
             assert got[key] == pytest.approx(value, abs=1e-12), (key, tp, tn, fp, fn)

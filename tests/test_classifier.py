@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -478,7 +479,7 @@ class TestTree:
 
 class TestMetrics:
     def test_worked_counts(self):
-        metrics = ClassificationMetrics.from_counts(3, 5, 1, 1)
+        metrics = ClassificationMetrics(3, 5, 1, 1)
         assert metrics.overall == pytest.approx(0.8)
         assert metrics.recall == pytest.approx(0.75)
         assert metrics.specificity == pytest.approx(5 / 6)
@@ -487,11 +488,22 @@ class TestMetrics:
         assert metrics.f_measure == pytest.approx(0.75)
         assert metrics.mcc == pytest.approx(14 / 24)
 
+    def test_only_the_four_counts_are_stored(self):
+        # the scores are read-only properties of the counts, so they cannot
+        # disagree with them, and the counts are the one constructor's input
+        assert [f.name for f in dataclasses.fields(ClassificationMetrics)] == ["tp", "tn", "fp", "fn"]
+        assert not hasattr(ClassificationMetrics, "from_counts")
+        metrics = ClassificationMetrics(3, 5, 1, 1)
+        with pytest.raises(AttributeError):
+            metrics.overall = 0.5
+        assert metrics == ClassificationMetrics(tp=3, tn=5, fp=1, fn=1)
+        assert metrics != ClassificationMetrics(5, 3, 1, 1)
+
     def test_matches_oracle_on_random_counts(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             tp, tn, fp, fn = (int(v) for v in rng.integers(0, 20, size=4))
-            got = ClassificationMetrics.from_counts(tp, tn, fp, fn).as_dict()
+            got = ClassificationMetrics(tp, tn, fp, fn).as_dict()
             want = oracle_metrics(tp, tn, fp, fn)
             for key in want:
                 assert got[key] == pytest.approx(want[key], abs=1e-12), key
@@ -507,11 +519,11 @@ class TestMetrics:
                         y_pred = np.array([1] * tp + [0] * tn + [1] * fp + [0] * fn)
                         counts = confusion_counts(y_true, y_pred)
                         assert counts == (tp, tn, fp, fn)
-                        got = ClassificationMetrics.from_counts(*counts).as_dict()
+                        got = ClassificationMetrics(*counts).as_dict()
                         assert got == oracle_metrics(tp, tn, fp, fn), counts
 
     def test_zero_denominators_collapse_to_zero(self):
-        metrics = ClassificationMetrics.from_counts(0, 5, 0, 0)
+        metrics = ClassificationMetrics(0, 5, 0, 0)
         assert metrics.recall == 0.0
         assert metrics.precision == 0.0
         assert metrics.f_measure == 0.0
@@ -534,8 +546,8 @@ class TestMetrics:
 
     def test_mean_metrics(self):
         splits = [
-            ClassificationMetrics.from_counts(3, 5, 1, 1),
-            ClassificationMetrics.from_counts(4, 4, 2, 0),
+            ClassificationMetrics(3, 5, 1, 1),
+            ClassificationMetrics(4, 4, 2, 0),
         ]
         averaged = mean_metrics(splits)
         assert averaged["overall"] == pytest.approx((0.8 + 0.8) / 2)
@@ -552,7 +564,7 @@ class TestEvaluate:
             plan = stratified_split(labels, test_fraction, base_seed + k)
             train, test = list(plan.train_indices), list(plan.test_indices)
             predicted = oracle_predict(oracle_fit_tree(x[train], y[train]), x[test])
-            want.append(ClassificationMetrics.from_counts(*confusion_counts(y[test], predicted)))
+            want.append(ClassificationMetrics(*confusion_counts(y[test], predicted)))
         # also through a fresh evaluator and through one already warmed by
         # other columns, asked for one at a time in shuffled order, so the
         # features (in their drawn, unsorted order) sit at scattered table
@@ -781,15 +793,14 @@ class TestBatch:
         x, y = matrix.values, labels.labels
         plans = [stratified_split(labels, test_fraction, base_seed + s) for s in range(n_splits)]
         for key, counts in staged.items():
-            per_split = [ClassificationMetrics.from_counts(tp, tn, fp, fn) for tn, fp, fn, tp in counts]
-            assert per_split == one_off[key]
+            assert [ClassificationMetrics(*split) for split in counts] == one_off[key]
             assert len(counts) == n_splits
             columns = list(key)
-            for (tn, fp, fn, tp), plan in zip(counts, plans):
+            for split, plan in zip(counts, plans):
                 train, test = list(plan.train_indices), list(plan.test_indices)
                 tree = oracle_fit_tree(x[train][:, columns], y[train])
                 predicted = oracle_predict(tree, x[test][:, columns])
-                assert (tp, tn, fp, fn) == confusion_counts(y[test], predicted)
+                assert tuple(split) == confusion_counts(y[test], predicted)
 
     @given(evaluation_problems(), st.sampled_from([4, 200]))
     def test_kept_roots_match_the_oracle(self, problem, table_max):
@@ -876,10 +887,10 @@ class TestBatch:
             assert want[0] == 0 and want[3] < min(want[1], want[2])
         (fresh,) = stage_in_turn(Evaluator(matrix, labels, n_splits, test_fraction, base_seed), [[(1, 2, 3)]])
         assert held == fresh
-        for (tn, fp, fn, tp), plan in zip(held[(1, 2, 3)], plans):
+        for split, plan in zip(held[(1, 2, 3)], plans):
             train, test = list(plan.train_indices), list(plan.test_indices)
             tree = oracle_fit_tree(x[train][:, [1, 2, 3]], y[train])
-            assert (tp, tn, fp, fn) == confusion_counts(y[test], oracle_predict(tree, x[test][:, [1, 2, 3]]))
+            assert tuple(split) == confusion_counts(y[test], oracle_predict(tree, x[test][:, [1, 2, 3]]))
 
     def test_kept_roots_hold_one_gini_per_split_of_each_sorted_column(self, monkeypatch):
         # the roots table adds n_splits float64s per sorted column, and the

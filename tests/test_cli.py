@@ -249,6 +249,15 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err == "dmc-gawar: invalid option: config file must hold a JSON object\n"
 
+    @pytest.mark.parametrize("name, reason", [("nope.json", MISSING), (".", IS_A_DIRECTORY)])
+    def test_unreadable_config_is_usage_error(self, capsys, data_csv, tmp_path, name, reason):
+        # the file is an option's value, not data: exit 1 like a malformed one
+        path = str(tmp_path / name)
+        assert main(["rank", data_csv, "--config", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dmc-gawar: invalid option: cannot read config file: {reason}: {path!r}\n"
+
     def test_whole_fraction_in_file_reports_as_the_flag_does(self, capsys, data_csv, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"keep_fraction": 1}))
@@ -411,6 +420,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "dmc-gawar: invalid option: unrecognized arguments: --bogus\n"
+
+    def test_abbreviated_flag_is_usage_error(self, capsys, data_csv):
+        # a prefix of --keep-fraction is not taken for it; the full flag is
+        assert main(["rank", data_csv, "--keep", "0.5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dmc-gawar: invalid option: unrecognized arguments: --keep 0.5\n"
+        assert main(["rank", data_csv, "--keep-fraction=0.5"]) == EXIT_OK
 
     def test_zero_restarts_is_usage_error(self, capsys, data_csv):
         code = main(["cluster", data_csv, "--n-restarts", "0"])
