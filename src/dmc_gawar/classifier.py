@@ -98,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector, _binary, _column_ids, _finite, stratified_split
+from .data import FeatureMatrix, LabelVector, _binary, _column_ids, _count, _finite, stratified_split
 
 # (column, tree) pairs sorted and scored per pass; bounds the temporaries
 # on wide inputs.
@@ -620,8 +620,7 @@ class Evaluator:
     def __init__(
         self, matrix: FeatureMatrix, labels: LabelVector, n_splits: int, test_fraction: float, base_seed: int
     ):
-        if n_splits < 1:
-            raise ValueError("n_splits must be at least 1")
+        n_splits = _count(n_splits, "n_splits")
         self.values, self.labels = matrix.values, labels.labels
         self.settings = {"n_splits": n_splits, "test_fraction": test_fraction, "base_seed": base_seed}
         plans = [stratified_split(labels, test_fraction, base_seed + k) for k in range(n_splits)]
@@ -747,6 +746,8 @@ def evaluate_subset(
     if evaluator is None:
         (counts,) = Evaluator(matrix, labels, n_splits, test_fraction, base_seed).counts(grid)
     else:
+        # True == 1, so the count is checked before it is compared
+        n_splits = _count(n_splits, "n_splits")
         evaluator.check(matrix, labels, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed)
         key = tuple(grid[0].tolist())
         if key not in evaluator.staged:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -97,6 +98,16 @@ def _column_ids(ids, m: int | None, name: str, ndim: int = 1) -> np.ndarray:
         bounds = "" if m is None else f" in 0..{m - 1}"
         raise ValueError(f"{name} must be 1-D integer column indices{bounds}")
     return ids.astype(np.intp, copy=False)
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int, if it is an integer of at least 1: a float is
+    not truncated to a count, nor a bool read as one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -180,8 +191,6 @@ class SplitPlan:
 
     train_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
-    test_fraction: float
-    seed: int
 
 
 def _row_error(line_no: int, record: list[str], label_idx: int) -> DataError:
@@ -397,6 +406,4 @@ def stratified_split(labels: LabelVector, test_fraction: float, seed: int) -> Sp
     return SplitPlan(
         train_indices=tuple(np.sort(train).tolist()),
         test_indices=tuple(np.sort(test).tolist()),
-        test_fraction=test_fraction,
-        seed=seed,
     )

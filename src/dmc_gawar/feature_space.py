@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, _column_ids, _finite
+from .data import FeatureMatrix, _column_ids, _count, _finite
 
 
 # Coordinates measured per pass of the exact recheck in ``_assign``.  Points
@@ -52,11 +52,15 @@ class ClusterModel:
     assignments: np.ndarray
     centroids: np.ndarray
     inertia_history: tuple[float, ...]
-    n_iterations: int
 
     @property
     def inertia(self) -> float:
         return self.inertia_history[-1]
+
+    @property
+    def n_iterations(self) -> int:
+        # each Lloyd update appends one inertia
+        return len(self.inertia_history)
 
     @property
     def n_clusters(self) -> int:
@@ -203,11 +207,10 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignments: np.nda
 
 def _lloyd(
     points: np.ndarray, q: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list[float], int]:
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
     centroids = _kmeanspp_seed(points, q, rng)
     history: list[float] = []
-    assignments = np.zeros(len(points), dtype=int)
-    for iteration in range(1, KMEANS_MAX_ITERS + 1):
+    for _ in range(KMEANS_MAX_ITERS):
         assignments = _assign(points, centroids)
         counts = np.bincount(assignments, minlength=q)
         if (counts == 0).any():
@@ -221,8 +224,8 @@ def _lloyd(
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift <= KMEANS_TOL:
-            return assignments, centroids, history, iteration
-    return assignments, centroids, history, KMEANS_MAX_ITERS
+            break
+    return assignments, centroids, history
 
 
 def cluster_features(
@@ -241,27 +244,19 @@ def cluster_features(
     retained = _column_ids(retained, matrix.m, "retained")
     if len(retained) == 0:
         raise ValueError("retained feature set is empty")
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be at least 1")
-    q = min(q, len(retained))
+    q = min(_count(q, "q"), len(retained))
+    n_restarts = _count(n_restarts, "n_restarts")
     points = minmax_normalize(matrix.values[:, retained]).T  # one row per feature
 
     streams = np.random.SeedSequence(seed).spawn(n_restarts)
-    best: tuple[np.ndarray, np.ndarray, list[float], int] | None = None
+    best: tuple[np.ndarray, np.ndarray, list[float]] | None = None
     for stream in streams:
         rng = np.random.default_rng(stream)
         result = _lloyd(points, q, rng)
         if best is None or result[2][-1] < best[2][-1]:
             best = result
-    assignments, centroids, history, n_iter = best
-    return ClusterModel(
-        assignments=assignments,
-        centroids=centroids,
-        inertia_history=tuple(history),
-        n_iterations=n_iter,
-    )
+    assignments, centroids, history = best
+    return ClusterModel(assignments=assignments, centroids=centroids, inertia_history=tuple(history))
 
 
 def build_feature_space(

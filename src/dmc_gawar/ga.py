@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import _column_ids
+from .data import _column_ids, _count
 
 INITIAL_CROSSOVER_TENTHS = 9
 INITIAL_MUTATION_TENTHS = 4
@@ -90,8 +90,12 @@ class GAResult:
     best_fitness: float
     history: tuple[IterationRecord, ...]
     nfe: int
-    n_iterations: int
     search_space_size: int
+
+    @property
+    def n_iterations(self) -> int:
+        # each iteration appends one record
+        return len(self.history)
 
 
 def roulette_spin(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -190,8 +194,7 @@ class SubsetOptimizer:
         space = _column_ids(space, None, "candidate pool members")
         if len(np.unique(space)) != len(space):
             raise ValueError("candidate pool members must be distinct")
-        if n_var < 1:
-            raise ValueError("n_var must be at least 1")
+        n_var = _count(n_var, "n_var")
         if len(space) <= n_var:
             raise ValueError("candidate pool must be larger than n_var")
         if n_pop < 2:
@@ -202,8 +205,8 @@ class SubsetOptimizer:
         self.fitness_fn = fitness_fn
         self.rng = np.random.default_rng(seed)
         self.n_pop = n_pop
-        self.stagnation_limit = stagnation_limit
-        self.max_iterations = max_iterations
+        self.stagnation_limit = _count(stagnation_limit, "stagnation_limit")
+        self.max_iterations = _count(max_iterations, "max_iterations")
         self._cache: dict[tuple[int, ...], float] = {}
 
     @property
@@ -237,9 +240,7 @@ class SubsetOptimizer:
 
         stagnant = 0  # consecutive iterations without improvement
         history: list[IterationRecord] = []
-        iteration = 0
-        while iteration < self.max_iterations:
-            iteration += 1
+        for iteration in range(1, self.max_iterations + 1):
             pc, pm, n_c, n_m = rate_schedule(stagnant, self.n_pop)
 
             # parents come from the current population only, so every
@@ -275,7 +276,6 @@ class SubsetOptimizer:
             best_fitness=winner.fitness,
             history=tuple(history),
             nfe=self.nfe,
-            n_iterations=iteration,
             search_space_size=math.comb(len(self.space), self.n_var),
         )
 

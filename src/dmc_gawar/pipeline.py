@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .classifier import ClassificationMetrics, Evaluator, evaluate_subset, mean_metrics, metric_stat
-from .data import DataError, FeatureMatrix, LabelVector
+from .data import DataError, FeatureMatrix, LabelVector, _count
 from .feature_space import ClusterModel, build_feature_space, cluster_features
 from .ga import GAResult, SubsetOptimizer
 from .rankers import METHODS, keep_count, rank_all
@@ -101,10 +101,13 @@ class PipelineResult:
     config: PipelineConfig
     retained: tuple[int, ...]
     space: tuple[int, ...]
-    selected: tuple[int, ...]
     before: dict[str, float]
     after: dict[str, float]
     ga: GAResult
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        return self.ga.best_genes
 
     @property
     def improvement(self) -> float:
@@ -207,7 +210,6 @@ def run_pipeline(
         config=config,
         retained=tuple(int(j) for j in stages.retained),
         space=tuple(int(j) for j in stages.space),
-        selected=ga.best_genes,
         before=mean_metrics(before_splits),
         after=mean_metrics(after_splits),
         ga=ga,
@@ -219,18 +221,28 @@ class ExperimentResult:
     """Repeated pipeline runs; run i reuses the config with seed + i."""
 
     runs: tuple[PipelineResult, ...]
-    mean_before: dict[str, float]
-    mean_after: dict[str, float]
-    std_after: dict[str, float]
-    mean_nfe: float
+
+    @property
+    def mean_before(self) -> dict[str, float]:
+        return metric_stat([r.before for r in self.runs])
+
+    @property
+    def mean_after(self) -> dict[str, float]:
+        return metric_stat([r.after for r in self.runs])
+
+    @property
+    def std_after(self) -> dict[str, float]:
+        return metric_stat([r.after for r in self.runs], np.std)
+
+    @property
+    def mean_nfe(self) -> float:
+        return float(np.mean([r.ga.nfe for r in self.runs]))
 
 
 def _check_runs(n_runs: int) -> None:
     """The gate for ``n_runs``: each repeat is a full run and each draw a
     fitness call, so it is capped like ``PipelineConfig``'s work sizes."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
-    if n_runs > 1000:
+    if _count(n_runs, "n_runs") > 1000:
         raise ValueError("n_runs must be at most 1000")
 
 
@@ -242,13 +254,7 @@ def run_experiment(
     for i in range(n_runs):
         run_config = PipelineConfig(**{**asdict(config), "seed": config.seed + i})
         runs.append(run_pipeline(matrix, labels, run_config))
-    return ExperimentResult(
-        runs=tuple(runs),
-        mean_before=metric_stat([r.before for r in runs]),
-        mean_after=metric_stat([r.after for r in runs]),
-        std_after=metric_stat([r.after for r in runs], np.std),
-        mean_nfe=float(np.mean([r.ga.nfe for r in runs])),
-    )
+    return ExperimentResult(tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -262,8 +268,14 @@ class BaselineResult:
     """Random draws from the same candidate pool, scored the same way."""
 
     runs: tuple[BaselineRun, ...]
-    mean: dict[str, float]
-    std: dict[str, float]
+
+    @property
+    def mean(self) -> dict[str, float]:
+        return metric_stat([r.metrics for r in self.runs])
+
+    @property
+    def std(self) -> dict[str, float]:
+        return metric_stat([r.metrics for r in self.runs], np.std)
 
 
 def random_baseline(
@@ -277,12 +289,10 @@ def random_baseline(
     for i in range(n_runs):
         rng = np.random.default_rng(config.seed + SEED_BASELINE + i)
         draws.append(tuple(sorted(rng.choice(stages.space, size=stages.n_var, replace=False).tolist())))
-    runs = [
+    return BaselineResult(tuple(
         BaselineRun(genes, mean_metrics(splits))
         for genes, (_, splits) in zip(draws, _scores(matrix, labels, config, draws, evaluator))
-    ]
-    scores = [r.metrics for r in runs]
-    return BaselineResult(tuple(runs), metric_stat(scores), metric_stat(scores, np.std))
+    ))
 
 
 def pipeline_report(result: PipelineResult) -> dict:
@@ -315,7 +325,7 @@ def experiment_report(result: ExperimentResult) -> dict:
 
 
 def baseline_report(result: BaselineResult) -> dict:
-    return {"n_runs": len(result.runs), **asdict(result)}
+    return {"n_runs": len(result.runs), **asdict(result), "mean": result.mean, "std": result.std}
 
 
 def report_text(report: dict) -> str:

@@ -724,6 +724,28 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_subset(matrix, labels, np.arange(4), n_splits=0)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "n_splits must be an integer, got True"),
+            (2.5, "n_splits must be an integer, got 2.5"),
+            (-1, "n_splits must be at least 1"),
+        ],
+    )
+    def test_n_splits_is_checked_not_coerced(self, value, message):
+        # a bool is not read as one split, nor a float rounded to a count
+        matrix, labels = random_dataset(6, 6, 4, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Evaluator(matrix, labels, value, 0.25, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_subset(matrix, labels, [1, 2], n_splits=value)
+        one_split = Evaluator(matrix, labels, 1, 0.2, 0)  # n_splits=True must not pass as 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_subset(matrix, labels, [1, 2], n_splits=value, evaluator=one_split)
+        assert evaluate_subset(matrix, labels, [1, 2], n_splits=np.int64(2)) == evaluate_subset(
+            matrix, labels, [1, 2], n_splits=2
+        )
+
 
 def stage_in_turn(evaluator: Evaluator, batches) -> list[dict]:
     """Each batch's staged counts, collected before the next batch."""

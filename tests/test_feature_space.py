@@ -175,6 +175,26 @@ class TestClustering:
         with pytest.raises(ValueError, match="n_restarts"):
             cluster_features(matrix, np.arange(6), q=2, seed=0, n_restarts=0)
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("n_restarts", True, "n_restarts must be an integer, got True"),
+            ("n_restarts", 2.5, "n_restarts must be an integer, got 2.5"),
+            ("q", True, "q must be an integer, got True"),
+            ("q", 2.5, "q must be an integer, got 2.5"),
+        ],
+    )
+    def test_counts_are_checked_not_coerced(self, option, value, message):
+        # a bool is not read as one restart or cluster, nor a float rounded
+        matrix, vec = random_dataset(5, 5, 6, seed=0)
+        counts = {"q": 2, "n_restarts": 2}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cluster_features(matrix, np.arange(6), seed=0, **{**counts, option: value})
+        numpy_count = cluster_features(matrix, np.arange(6), seed=0, **{**counts, option: np.int64(2)})
+        model = cluster_features(matrix, np.arange(6), seed=0, **counts)
+        assert np.array_equal(numpy_count.assignments, model.assignments)
+        assert numpy_count.inertia_history == model.inertia_history
+
     def test_kmeans_peak_memory(self):
         """k-means over 1000 points of 100 values peaks under 5 times the
         points' bytes: 4.3 times with its steps' temporaries reused or

@@ -325,6 +325,31 @@ class TestSubsetOptimizer:
         with pytest.raises(ValueError, match="candidate pool members must be 1-D integer column indices"):
             SubsetOptimizer([0.5, 1.5, 2.5, 3.9], 2, per_subset(lambda g: 0.0), seed=0)
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("stagnation_limit", 2.5, "stagnation_limit must be an integer, got 2.5"),
+            ("stagnation_limit", True, "stagnation_limit must be an integer, got True"),
+            ("stagnation_limit", 0, "stagnation_limit must be at least 1"),
+            ("stagnation_limit", -3, "stagnation_limit must be at least 1"),
+            ("max_iterations", -2, "max_iterations must be at least 1"),
+            ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+            ("max_iterations", True, "max_iterations must be an integer, got True"),
+            ("n_var", 2.5, "n_var must be an integer, got 2.5"),
+            ("n_var", True, "n_var must be an integer, got True"),
+        ],
+    )
+    def test_counts_are_checked_not_coerced(self, option, value, message):
+        # a float is not rounded into a count, nor a bool read as 1, and
+        # a count below 1 does not stop the search early
+        def search(**counts):
+            settings = {"n_var": 5, **counts}
+            return SubsetOptimizer(range(30), fitness_fn=per_subset(lambda g: 1.0), seed=0, n_pop=6, **settings)
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            search(**{option: value})
+        assert search(**{option: np.int64(3)}).run() == search(**{option: 3}).run()
+
 
 @st.composite
 def searches(draw):

@@ -4,11 +4,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dmc_gawar import classifier, pipeline
-from dmc_gawar.data import DataError, FeatureMatrix, stratified_split
+from dmc_gawar import classifier, feature_space, pipeline
+from dmc_gawar.classifier import metric_stat
+from dmc_gawar.data import DataError, FeatureMatrix, SplitPlan, stratified_split
+from dmc_gawar.feature_space import ClusterModel
+from dmc_gawar.ga import GAResult
 from dmc_gawar.pipeline import (
     SEED_EVAL,
+    BaselineResult,
+    ExperimentResult,
     PipelineConfig,
+    PipelineResult,
     baseline_report,
     effective_sizes,
     experiment_report,
@@ -280,6 +286,10 @@ class TestExperiment:
         with pytest.raises(ValueError):
             run_experiment(planted.matrix, planted.labels, SMALL, n_runs=0)
         for run in (run_experiment, random_baseline):
+            for n_runs in (True, 2.5):  # not read as one run, nor rounded
+                with pytest.raises(ValueError, match=f"^n_runs must be an integer, got {n_runs}$"):
+                    run(planted.matrix, planted.labels, SMALL, n_runs=n_runs)
+        for run in (run_experiment, random_baseline):
             for n_runs in (1001, 2**63):  # checked before any work
                 with pytest.raises(ValueError, match="^n_runs must be at most 1000$"):
                     run(planted.matrix, planted.labels, SMALL, n_runs=n_runs)
@@ -304,3 +314,60 @@ class TestBaseline:
         pipeline = run_pipeline(planted.matrix, planted.labels, SMALL)
         baseline = random_baseline(planted.matrix, planted.labels, SMALL, n_runs=3)
         assert pipeline.after["overall"] >= baseline.mean["overall"]
+
+
+class TestStoredFacts:
+    """Each result stores a fact once: a value that copies another stored
+    value is a read-only property over it, so no constructor can set the
+    two inconsistently."""
+
+    def test_only_the_facts_are_stored(self):
+        stored = {
+            GAResult: ["best_genes", "best_fitness", "history", "nfe", "search_space_size"],
+            ClusterModel: ["assignments", "centroids", "inertia_history"],
+            PipelineResult: ["config", "retained", "space", "before", "after", "ga"],
+            ExperimentResult: ["runs"],
+            BaselineResult: ["runs"],
+            SplitPlan: ["train_indices", "test_indices"],
+        }
+        for result_type, names in stored.items():
+            assert [f.name for f in fields(result_type)] == names, result_type.__name__
+
+    def test_derived_values_are_read_only_and_equal_what_they_replace(self, planted, monkeypatch):
+        assign_calls = []
+        assign = feature_space._assign
+        with monkeypatch.context() as patch:
+            patch.setattr(feature_space, "_assign", lambda *args: assign_calls.append(1) or assign(*args))
+            model = feature_space.cluster_features(planted.matrix, np.arange(planted.matrix.m), 5, 2, n_restarts=1)
+        experiment = run_experiment(planted.matrix, planted.labels, SMALL, n_runs=2)
+        run = experiment.runs[0]
+        baseline = random_baseline(planted.matrix, planted.labels, SMALL, n_runs=3)
+        scores = [r.metrics for r in baseline.runs]
+        derived = [
+            # one record per iteration, numbered from 1
+            (run.ga, "n_iterations", run.ga.history[-1].iteration),
+            # one assignment step per Lloyd iteration of the one restart
+            (model, "n_iterations", len(assign_calls)),
+            (run, "selected", run.ga.best_genes),
+            (experiment, "mean_before", metric_stat([r.before for r in experiment.runs])),
+            (experiment, "mean_after", metric_stat([r.after for r in experiment.runs])),
+            (experiment, "std_after", metric_stat([r.after for r in experiment.runs], np.std)),
+            (experiment, "mean_nfe", float(np.mean([r.ga.nfe for r in experiment.runs]))),
+            (baseline, "mean", metric_stat(scores)),
+            (baseline, "std", metric_stat(scores, np.std)),
+        ]
+        assert [r.iteration for r in run.ga.history] == list(range(1, run.ga.n_iterations + 1))
+        assert model.n_iterations > 1
+        for result, name, want in derived:
+            assert getattr(result, name) == want, name
+            assert isinstance(getattr(type(result), name, None), property), name
+            assert getattr(type(result), name).fset is None, name
+            with pytest.raises(AttributeError):
+                setattr(result, name, want)
+
+    def test_lloyd_returns_only_what_the_model_stores(self, planted):
+        points = feature_space.minmax_normalize(planted.matrix.values).T
+        assignments, centroids, history = feature_space._lloyd(points, 4, np.random.default_rng(0))
+        assert assignments.shape == (planted.matrix.m,)
+        assert centroids.shape == (4, planted.matrix.n)
+        assert 1 <= len(history) <= feature_space.KMEANS_MAX_ITERS
