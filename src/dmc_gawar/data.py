@@ -8,11 +8,13 @@ immutable after construction and safe to share across threads.
 ``load_csv`` reads the header with the ``csv`` module and parses the rest
 of the file in one ``np.loadtxt`` pass (numpy's C tokenizer, which splits
 quoted fields as ``csv.reader`` does and rounds each number as ``float``
-does).  The label column is then dropped in place, each row's feature
-cells moved left within the parsed table's own buffer, so the returned
-matrix is the one copy of the data that the load makes.  Any exception,
-and any result that is not plainly valid, sends the file to the row-by-row
-reader instead: it parses one whole row per call with ``float`` and, for a
+does).  ``loadtxt`` gets an upper bound on the row count (``_line_bound``),
+so it allocates its table once instead of regrowing it row by row.  The
+label column is then dropped in place, each row's feature cells moved
+left within the parsed table's own buffer, so the returned matrix is the
+one copy of the data that the load makes.  Any exception, and any result
+that is not plainly valid, sends the file to the row-by-row reader
+instead: it parses one whole row per call with ``float`` and, for a
 row that fails, scans it again cell by cell.  So the row reader alone
 produces every error, with the row, column and left-to-right,
 top-to-bottom order of a cell-by-cell parse.
@@ -100,13 +102,16 @@ def _column_ids(ids, m: int | None, name: str, ndim: int = 1) -> np.ndarray:
     return ids.astype(np.intp, copy=False)
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int, if it is an integer of at least 1: a float is
-    not truncated to a count, nor a bool read as one."""
+def _count(value, name: str, least: int = 1, most: int | None = None) -> int:
+    """``value`` as an int, if it is an integer from ``least`` to ``most``
+    (no cap if None): a float is not truncated to a count, nor a bool read
+    as one."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}")
     return int(value)
 
 
@@ -271,15 +276,18 @@ def _load_table(path: Path, label_column: str | None) -> tuple[FeatureMatrix, La
     ``usecols`` it raises on ragged rows; with ``comments=None`` a ``#`` is
     data.  Not plainly valid, and left to the row reader: no rows, a column
     count other than the header's (every row with the same extra field), or
-    a label column without exactly two values of two or more rows each.  A
-    warning (such as "input contained no data") counts as a fault, and so
-    does a non-finite cell, which ``FeatureMatrix`` rejects.
+    a label column without exactly two values of two or more rows each, or
+    as many rows as ``_line_bound`` (the header takes a line, so the file
+    changed after it was counted).  A warning (such as "input contained no
+    data") counts as a fault, and so does a non-finite cell, which
+    ``FeatureMatrix`` rejects.
     """
     class_codes: dict[str, int] = {}
 
     def label_code(cell: str) -> float:
         return float(class_codes.setdefault(cell, len(class_codes)))
 
+    max_rows = _line_bound(path)
     with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
         header, label_idx, feature_names = _read_header(csv.reader(fh), label_column)
@@ -291,14 +299,35 @@ def _load_table(path: Path, label_column: str | None) -> tuple[FeatureMatrix, La
             comments=None,
             converters={label_idx: label_code},
             ndmin=2,
+            max_rows=max_rows,
         )
-    if len(table) == 0 or table.shape[1] != len(header) or len(class_codes) != 2:
+    if len(table) in (0, max_rows) or table.shape[1] != len(header) or len(class_codes) != 2:
         return None
     codes = table[:, label_idx].astype(int)
     if (np.bincount(codes) < 2).any():
         return None
     matrix = FeatureMatrix(_read_only(_drop_column(table, label_idx)), feature_names)
     return matrix, LabelVector(codes, tuple(class_codes))
+
+
+def _line_bound(path: Path) -> int:
+    """One more than the line ends of the file (LF, CRLF or lone CR), a
+    CRLF split between two reads counted twice: at least its line count.
+
+    Given this as ``max_rows``, ``np.loadtxt`` allocates its table once.
+    A table regrown row by row leaves its old copies in the heap (once an
+    earlier load's 16 MB table is freed, glibc no longer maps such sizes
+    apart), and repeated 100 x 20000 loads peaked at 62 or 74 MB resident
+    depending on where those copies fell."""
+    lines = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 18):
+            codes = np.frombuffer(chunk, np.uint8)
+            at = np.flatnonzero(codes <= 13)  # control bytes, few in a CSV
+            lf, cr = codes[at] == 10, codes[at] == 13
+            crlf = cr[:-1] & lf[1:] & (np.diff(at) == 1)
+            lines += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(crlf)
+    return int(lines)
 
 
 def _drop_column(table: np.ndarray, col: int) -> np.ndarray:

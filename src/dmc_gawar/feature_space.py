@@ -13,6 +13,13 @@ exact ``((p - c)**2).sum()``.  Only the centroids the bound cannot rule out
 are measured exactly, and the nearest of them wins, the lowest index on a
 tie.  Every other centroid is provably strictly farther, so each
 assignment, ties included, is the one the exact distances alone give.
+
+The update step sorts the assignments once, stably, and takes each
+cluster's mean over its contiguous slice of the points gathered in that
+order: the rows of ``points[assignments == k]``, in the same order and
+layout, so each centroid is that mask's mean to the bit.  The seeding
+distances and the inertia are each formed in one buffer, in the layout
+of the plain numpy expression, so their sums are that expression's.
 """
 
 from __future__ import annotations
@@ -94,12 +101,23 @@ def minmax_normalize(columns: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp_seed(points: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
-    """Spread-out initial centroids: first uniform, rest D^2-weighted."""
+    """Spread-out initial centroids: first uniform, rest D^2-weighted.
+
+    Each point's squared distance to a new centroid is formed in one
+    reused buffer of ``points``' layout, so its row sums are those of
+    ``((points - c) ** 2).sum(axis=1)`` bit for bit."""
     n = points.shape[0]
     centroids = np.empty((q, points.shape[1]), dtype=float)
+    buffer = np.empty_like(points)
+
+    def d2_to(centroid: np.ndarray) -> np.ndarray:
+        np.subtract(points, centroid, out=buffer)
+        np.multiply(buffer, buffer, out=buffer)
+        return buffer.sum(axis=1)
+
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = d2_to(centroids[0])
     for k in range(1, q):
         total = d2.sum()
         if total > 0.0:
@@ -108,7 +126,7 @@ def _kmeanspp_seed(points: np.ndarray, q: int, rng: np.random.Generator) -> np.n
         else:
             choice = int(rng.integers(n))
         centroids[k] = points[choice]
-        d2 = np.minimum(d2, ((points - centroids[k]) ** 2).sum(axis=1))
+        np.minimum(d2, d2_to(centroids[k]), out=d2)
     return centroids
 
 
@@ -205,6 +223,28 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignments: np.nda
     return assignments
 
 
+def _cluster_means(points: np.ndarray, assignments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each cluster's ``points[assignments == k].mean(axis=0)``, bit for
+    bit: a stable sort by cluster gathers each cluster's rows into one
+    contiguous slice, in point order and in the layout the mask gives."""
+    grouped = points[np.argsort(assignments, kind="stable")]
+    means = np.empty((len(counts), points.shape[1]))
+    ends = np.cumsum(counts)
+    for k, (start, end) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+        means[k] = grouped[start:end].mean(axis=0)
+    return means
+
+
+def _inertia(points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> float:
+    """``((points - centroids[assignments]) ** 2).sum()`` in the one
+    gathered buffer, which has the broadcast's C layout, so the pairwise
+    sum runs over the same values in the same order."""
+    buffer = centroids[assignments]
+    np.subtract(points, buffer, out=buffer)
+    np.multiply(buffer, buffer, out=buffer)
+    return float(buffer.sum())
+
+
 def _lloyd(
     points: np.ndarray, q: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -216,11 +256,8 @@ def _lloyd(
         if (counts == 0).any():
             assignments = _repair_empty(points, centroids, assignments)
             counts = np.bincount(assignments, minlength=q)
-        new_centroids = np.empty_like(centroids)
-        for k in range(q):
-            new_centroids[k] = points[assignments == k].mean(axis=0)
-        inertia = float(((points - new_centroids[assignments]) ** 2).sum())
-        history.append(inertia)
+        new_centroids = _cluster_means(points, assignments, counts)
+        history.append(_inertia(points, new_centroids, assignments))
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift <= KMEANS_TOL:

@@ -37,6 +37,9 @@ import numpy as np
 
 from .data import _column_ids, _count
 
+# The largest population, also ``PipelineConfig``'s cap.
+MAX_POPULATION = 1000
+
 INITIAL_CROSSOVER_TENTHS = 9
 INITIAL_MUTATION_TENTHS = 4
 CROSSOVER_FLOOR_TENTHS = 3
@@ -197,8 +200,7 @@ class SubsetOptimizer:
         n_var = _count(n_var, "n_var")
         if len(space) <= n_var:
             raise ValueError("candidate pool must be larger than n_var")
-        if n_pop < 2:
-            raise ValueError("population size must be at least 2")
+        n_pop = _count(n_pop, "n_pop", least=2, most=MAX_POPULATION)
         self.space = space
         self.pool = np.sort(space).tolist()  # ascending, as the operators draw from it
         self.n_var = n_var

@@ -145,6 +145,48 @@ def oracle_repair_empty(centroids, assignments, d2):
     return np.array(assignments)
 
 
+def oracle_kmeanspp_seed(points, q, rng):
+    """k-means++ seeding as it was before its distances shared one
+    buffer: a fresh ``((points - c) ** 2).sum(axis=1)`` per centroid."""
+    n = points.shape[0]
+    centroids = np.empty((q, points.shape[1]), dtype=float)
+    first = int(rng.integers(n))
+    centroids[0] = points[first]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for k in range(1, q):
+        total = d2.sum()
+        if total > 0.0:
+            probs = d2 / total
+            choice = int(rng.choice(n, p=probs))
+        else:
+            choice = int(rng.integers(n))
+        centroids[k] = points[choice]
+        d2 = np.minimum(d2, ((points - centroids[k]) ** 2).sum(axis=1))
+    return centroids
+
+
+def oracle_lloyd(points, q, rng, max_iters=300, tol=1e-4):
+    """(assignments, centroids, inertia history) of k-means as it was
+    before its update grouped points by cluster: one boolean mask and
+    ``mean`` per cluster, and the inertia from a fresh broadcast."""
+    centroids = oracle_kmeanspp_seed(points, q, rng)
+    history = []
+    for _ in range(max_iters):
+        assignments, d2 = oracle_assign(points, centroids)
+        if len(set(assignments.tolist())) < q:
+            assignments = oracle_repair_empty(centroids, assignments, d2)
+        new_centroids = np.empty_like(centroids)
+        for k in range(q):
+            new_centroids[k] = points[assignments == k].mean(axis=0)
+        inertia = float(((points - new_centroids[assignments]) ** 2).sum())
+        history.append(inertia)
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift <= tol:
+            break
+    return assignments, centroids, history
+
+
 def oracle_metrics(tp, tn, fp, fn):
     total = tp + tn + fp + fn
     overall = (tp + tn) / total if total else 0.0

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -135,6 +136,7 @@ class TestLoadCsv:
         path.write_bytes(text.encode("utf-8"))
         want = _outcome(oracle_load_csv, path, label_column)
         assert _outcome(load_csv, path, label_column) == want
+        assert data._line_bound(path) >= len(io.StringIO(text, newline="").readlines())
         try:
             table = data._load_table(path, label_column)
         except Exception:
@@ -160,6 +162,15 @@ class TestLoadCsv:
         for cell in ("1_0", "\x1c7", "\uff17"):
             with pytest.raises(AssertionError, match="row reader used"):
                 load_csv(write(tmp_path / "e.csv", text.replace("7,", cell + ",")), label_column="l")
+
+    def test_rows_past_the_line_bound_go_to_the_row_reader(self, tmp_path, monkeypatch):
+        """A file that holds as many rows as its counted bound changed after
+        it was counted: the row reader reads it whole, no row is dropped."""
+        monkeypatch.setattr(data, "_line_bound", lambda path: 5)
+        path = write(tmp_path / "d.csv", "x,l\n" + "".join(f"{i},{'aabb'[i % 4]}\n" for i in range(8)))
+        assert data._load_table(path, None) is None
+        matrix, labels = load_csv(path)
+        assert matrix.values[:, 0].tolist() == list(range(8))
 
     def test_round_trip(self, tmp_path):
         values = np.array([[1.5, -2.25], [0.1, 3.0], [7.0, 0.0], [2.0, 1.0]])

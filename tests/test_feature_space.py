@@ -17,7 +17,7 @@ from dmc_gawar.feature_space import (
     minmax_normalize,
 )
 from conftest import make_dataset, random_dataset
-from oracles import oracle_assign, oracle_repair_empty
+from oracles import oracle_assign, oracle_kmeanspp_seed, oracle_lloyd, oracle_repair_empty
 
 
 @st.composite
@@ -43,6 +43,45 @@ def tie_heavy_assignments(draw):
     for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
         points[i] = 0.0
     return points, centroids
+
+
+@st.composite
+def tie_heavy_points(draw):
+    """(points, q): n feature points of d coordinates in [0, 1], as quarter
+    steps or arbitrary floats; some points copies of others, some all zero
+    (constant features normalise to zeros), some coordinates constant;
+    q from 1 to n, often n itself (every cluster a singleton), and in the
+    column-major layout ``cluster_features`` passes or row-major."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.sampled_from([1, 2, 3, 7, 16, 100]))
+    q = n if draw(st.booleans()) else draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.integers(0, 5, size=(n, d)) / 4.0 if draw(st.booleans()) else rng.random((n, d))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        points[i] = points[rng.integers(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        points[i] = 0.0
+    for j in draw(st.sets(st.integers(0, d - 1), max_size=2)):
+        points[:, j] = points[0, j]
+    if draw(st.booleans()):
+        points = np.asfortranarray(points)
+    return points, q
+
+
+class DrawLog:
+    """A seeded generator for k-means++ seeding that keeps the bytes of
+    the D^2 weights of each weighted draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.weights = []
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.weights.append(p.tobytes())
+        return self.rng.choice(n, p=p)
 
 
 class TestNormalize:
@@ -264,6 +303,38 @@ class TestClustering:
         repaired = _repair_empty(points, centroids, assignments)
         assert np.array_equal(repaired, oracle_repair_empty(centroids, assignments, d2))
         assert set(repaired.tolist()) == set(range(len(centroids)))
+
+    @given(tie_heavy_points(), st.integers(0, 2**32 - 1))
+    def test_lloyd_equals_masked_reference(self, case, seed):
+        """Seeding in one reused buffer, the update over clusters grouped
+        by one stable sort and the inertia in one gathered buffer give the
+        reference's centroids, assignments and inertias to the bit."""
+        points, q = case
+        got, want = DrawLog(seed), DrawLog(seed)
+        seeds = feature_space._kmeanspp_seed(points, q, got)
+        assert seeds.tobytes() == oracle_kmeanspp_seed(points, q, want).tobytes()
+        assert got.weights == want.weights  # the D^2 weights, to the bit
+        assignments, centroids, history = feature_space._lloyd(points, q, np.random.default_rng(seed))
+        want = oracle_lloyd(points, q, np.random.default_rng(seed))
+        assert np.array_equal(assignments, want[0])
+        assert centroids.tobytes() == want[1].tobytes()
+        assert history == want[2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lloyd_equals_reference_through_the_repair(self, seed):
+        """Ten copies of one point and two others, in four clusters: once
+        the three distinct points are seeds, the fourth seed repeats one,
+        its twin centroid takes no point, and the repair runs."""
+        points = np.zeros((12, 5))
+        points[10:] = np.random.default_rng(seed).random((2, 5))
+        with mock.patch.object(feature_space, "_repair_empty", wraps=_repair_empty) as repair:
+            got = feature_space._lloyd(points, 4, np.random.default_rng(seed))
+        assert repair.called
+        want = oracle_lloyd(points, 4, np.random.default_rng(seed))
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+
 
 class TestFeatureSpace:
     def test_one_member_per_cluster(self):

@@ -24,7 +24,8 @@ from oracles import oracle_column_dmc, oracle_column_mc, oracle_dmc, oracle_mc, 
 def tie_heavy_screens(draw):
     """(values, labels): n 4..300 rows, so sums cross numpy's 128-element
     pairwise block; small-integer columns scaled by powers of ten, some
-    made constant, some left as arbitrary floats; both classes twice.
+    made constant, some with about half their zeros as -0.0 (equal to 0.0,
+    so a tie), some left as arbitrary floats; both classes twice.
     Hypothesis draws the shape and a seed; numpy fills the arrays."""
     n = draw(st.integers(4, 300))
     m = draw(st.integers(1, 12))
@@ -33,11 +34,32 @@ def tie_heavy_screens(draw):
     values = rng.integers(0, top + 1, size=(n, m)) * 10.0 ** rng.integers(-6, 7, size=m)
     for column in draw(st.sets(st.integers(0, m - 1), max_size=m)):
         values[:, column] = values[0, column]
+    for column in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        values[(values[:, column] == 0.0) & (rng.random(n) < 0.5), column] = -0.0
     for column in draw(st.sets(st.integers(0, m - 1), max_size=2)):
         values[:, column] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7)
     labels = np.zeros(n, dtype=int)
     labels[rng.choice(n, size=draw(st.integers(2, n - 2)), replace=False)] = 1
     return values, labels
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A (b x n) block of feature rows, each drawn tie-free (distinct
+    floats), tied (small integers, or a constant) or with signed zeros
+    (-0.0 and 0.0 mixed), and 0/1 labels holding both classes."""
+    n = draw(st.integers(2, 300))
+    kinds = draw(st.lists(st.sampled_from(["distinct", "integers", "constant", "zeros"]), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = {
+        "distinct": lambda: rng.permutation(n) + rng.random(n) / 2,
+        "integers": lambda: rng.integers(-2, 3, n) * 0.5,
+        "constant": lambda: np.full(n, rng.standard_normal()),
+        "zeros": lambda: rng.choice([-0.0, 0.0, 1.5, -2.0], n),
+    }
+    block = np.array([rows[kind]() for kind in kinds])
+    labels = rng.permutation(np.arange(n) % 2)
+    return block, labels
 
 
 class TestRegion:
@@ -65,6 +87,26 @@ class TestRegion:
         region = find_region(np.array([2.0, 2.0, 1.0]), np.array([1, 0, 0]))
         assert region.x_class == 0
         assert (region.start, region.end) == (1, 2)
+
+    def test_tied_column_order_is_the_stable_argsort(self):
+        values = np.array([0.0, 2.0, -0.0, 1.0, 2.0, 0.0, 1.0, -0.0])
+        labels = np.array([1, 0, 0, 1, 1, 0, 1, 0])
+        region = find_region(values, labels)
+        assert region.order.tolist() == [0, 2, 5, 7, 3, 6, 1, 4]
+        assert region.order.tolist() == np.argsort(values, kind="stable").tolist()
+        assert region.order.tolist() == oracle_region(values, labels)[0]
+
+    @given(mixed_blocks())
+    def test_block_order_is_each_rows_stable_argsort(self, case):
+        """The block's fast sort, repaired on tied rows, gives every row
+        its stable order, and its values in that order to the bit (the
+        sign of a zero included)."""
+        block, labels = case
+        order, sorted_values, *_ = rankers._regions(block, labels)
+        for row, row_order, row_sorted in zip(block, order, sorted_values):
+            want = np.argsort(row, kind="stable")
+            assert row_order.tolist() == want.tolist()
+            assert row_sorted.tobytes() == row[want].tobytes()
 
     def test_class_one_can_be_x_class(self):
         region = find_region(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1, 1, 0, 0]))
