@@ -98,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector, _binary, _column_ids, _count, _finite, stratified_split
+from .data import FeatureMatrix, LabelVector, _binary, _column_ids, _count, _finite, _fraction, stratified_split
 
 # (column, tree) pairs sorted and scored per pass; bounds the temporaries
 # on wide inputs.
@@ -596,6 +596,17 @@ def _subset_grid(subsets, m: int) -> np.ndarray:
     return grid
 
 
+def _settings(n_splits: int, test_fraction: float, base_seed: int) -> dict:
+    """An evaluator's split settings as ``Evaluator.settings`` holds them,
+    each through its gate, so a bool is refused before ``check`` compares
+    it (``True == 1``)."""
+    return {
+        "n_splits": _count(n_splits, "n_splits"),
+        "test_fraction": _fraction(test_fraction, "test_fraction"),
+        "base_seed": _count(base_seed, "base_seed", least=0),
+    }
+
+
 class Evaluator:
     """The repeated-holdout protocol of one run: its split plans, built
     once (split k has seed ``base_seed + k``), the order of each column
@@ -620,9 +631,9 @@ class Evaluator:
     def __init__(
         self, matrix: FeatureMatrix, labels: LabelVector, n_splits: int, test_fraction: float, base_seed: int
     ):
-        n_splits = _count(n_splits, "n_splits")
+        self.settings = _settings(n_splits, test_fraction, base_seed)
+        n_splits, test_fraction, base_seed = self.settings.values()
         self.values, self.labels = matrix.values, labels.labels
-        self.settings = {"n_splits": n_splits, "test_fraction": test_fraction, "base_seed": base_seed}
         plans = [stratified_split(labels, test_fraction, base_seed + k) for k in range(n_splits)]
         self.train = np.array([plan.train_indices for plan in plans])
         self.test = np.array([plan.test_indices for plan in plans])
@@ -746,9 +757,7 @@ def evaluate_subset(
     if evaluator is None:
         (counts,) = Evaluator(matrix, labels, n_splits, test_fraction, base_seed).counts(grid)
     else:
-        # True == 1, so the count is checked before it is compared
-        n_splits = _count(n_splits, "n_splits")
-        evaluator.check(matrix, labels, n_splits=n_splits, test_fraction=test_fraction, base_seed=base_seed)
+        evaluator.check(matrix, labels, **_settings(n_splits, test_fraction, base_seed))
         key = tuple(grid[0].tolist())
         if key not in evaluator.staged:
             evaluator.stage(grid)

@@ -33,6 +33,7 @@ from .pipeline import (
     baseline_report,
     build_evaluator,
     build_stages,
+    effective_sizes,
     evaluate,
     experiment_report,
     pipeline_report,
@@ -43,7 +44,7 @@ from .pipeline import (
     search,
     write_json,
 )
-from .rankers import METHODS, keep_count, order_by_score, score_features
+from .rankers import METHODS, order_by_score, score_features
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,7 +176,7 @@ def _cmd_rank(args) -> dict:
     matrix, labels, config = _inputs(args)
     scores = score_features(matrix, labels, config.method)
     order = order_by_score(scores)
-    retained = order[: keep_count(matrix.m, config.keep_fraction)]
+    retained = order[: effective_sizes(matrix.m, config)[0]]
     return {
         "method": config.method,
         "keep_fraction": config.keep_fraction,

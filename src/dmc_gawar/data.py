@@ -115,6 +115,17 @@ def _count(value, name: str, least: int = 1, most: int | None = None) -> int:
     return int(value)
 
 
+def _fraction(value, name: str, closed: bool = False) -> float:
+    """``value`` as a float, if it is a number in (0, 1), or in (0, 1] if
+    ``closed``: a bool is not read as 1, and the range is checked before
+    the cast, so a huge integer is refused, not overflowed."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (0 < value <= 1 if closed else 0 < value < 1):
+        raise ValueError(f"{name} must be in (0, 1{']' if closed else ')'}")
+    return float(value)
+
+
 def _read_only(values: np.ndarray) -> np.ndarray:
     """``values``, marked read-only: a ``FeatureMatrix`` holds such an
     array without a copy."""
@@ -405,8 +416,8 @@ def stratified_split(labels: LabelVector, test_fraction: float, seed: int) -> Sp
     Membership within a class is a seeded uniform shuffle, so the same
     (labels, fraction, seed) always produces the identical plan.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    test_fraction = _fraction(test_fraction, "test_fraction")
+    seed = _count(seed, "seed", least=0)
     y = labels.labels
     n = len(y)
     total_test = int(math.floor(n * test_fraction + 0.5))

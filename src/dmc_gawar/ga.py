@@ -205,7 +205,7 @@ class SubsetOptimizer:
         self.pool = np.sort(space).tolist()  # ascending, as the operators draw from it
         self.n_var = n_var
         self.fitness_fn = fitness_fn
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(_count(seed, "seed", least=0))
         self.n_pop = n_pop
         self.stagnation_limit = _count(stagnation_limit, "stagnation_limit")
         self.max_iterations = _count(max_iterations, "max_iterations")

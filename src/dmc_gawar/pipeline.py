@@ -1,13 +1,14 @@
 """End-to-end orchestration: rank, cluster, pool, search, evaluate.
 
 This module is the only owner of the stage seed offsets (``SEED_*``) and
-of size clamping (``effective_sizes``); the CLI and library callers go
-through ``build_stages``, ``build_evaluator``, ``search`` and
-``evaluate``.  Every stage draws randomness from the run seed plus its
-fixed offset, so a run is a pure function of (dataset, config).  Every
-evaluation of a run goes through its one evaluator and so uses the same
-split seeds, which makes the "after" overall accuracy equal the best
-fitness the search reports.
+of size clamping (``effective_sizes``, which ``build_stages`` and the
+CLI's ``rank`` both use); the CLI and library callers go through
+``build_stages``, ``build_evaluator``, ``search`` and ``evaluate``.
+Every stage draws randomness from the run seed plus its fixed offset, so
+a run is a pure function of (dataset, config).  Every evaluation of a run
+goes through its one evaluator and so uses the same split seeds, which
+makes the "after" overall accuracy equal the best fitness the search
+reports.
 
 The report dicts are built here, and ``report_text`` is the one place
 that turns a report into bytes (sorted keys, two-space indent, one
@@ -18,13 +19,12 @@ score keys come from ``classifier.METRIC_KEYS``.
 from __future__ import annotations
 
 import json
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .classifier import ClassificationMetrics, Evaluator, evaluate_subset, mean_metrics, metric_stat
-from .data import DataError, FeatureMatrix, LabelVector, _count
+from .data import DataError, FeatureMatrix, LabelVector, _count, _fraction
 from .feature_space import ClusterModel, build_feature_space, cluster_features
 from .ga import MAX_POPULATION, GAResult, SubsetOptimizer
 from .rankers import METHODS, keep_count, rank_all
@@ -34,6 +34,23 @@ SEED_SPACE = 211
 SEED_GA = 307
 SEED_EVAL = 401
 SEED_BASELINE = 503
+
+
+# Each integer field of ``PipelineConfig`` with its least and most value
+# (None: no cap).  A run's time grows in proportion to each capped one,
+# so each is capped to keep a run to minutes: every fitness call fits
+# n_splits trees (a 62 x 2000 run takes about 0.6 s at 10), every restart
+# is a full k-means fit (0.040 s of CPU, median of 20, for 1000 points of
+# 100 values on a 2-core Xeon), the first generation draws and scores
+# n_pop subsets, and a search that keeps improving stops only after
+# max_iterations generations.
+_COUNT_BOUNDS = {
+    "q": (1, None), "n_var": (1, None), "n_pop": (2, MAX_POPULATION), "stagnation_limit": (1, None),
+    "max_iterations": (1, 100_000), "n_splits": (1, 1000), "n_restarts": (1, 100), "seed": (0, None),
+}
+# n_runs is capped likewise: each repeat of ``run_experiment`` is a full
+# run and each draw of ``random_baseline`` a fitness call.
+MAX_RUNS = 1000
 
 
 @dataclass(frozen=True)
@@ -53,48 +70,15 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """The one gate for option values, from flags, config files or code."""
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type in ("int", int) and (
-                not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            ):
-                raise ValueError(f"{field.name} must be an integer, got {value!r}")
-            if field.type in ("float", float) and (
-                not isinstance(value, numbers.Real) or isinstance(value, bool)
-            ):
-                raise ValueError(f"{field.name} must be a number, got {value!r}")
+        """The one gate for option values, from flags, config files or code.
+        Each number is held as its field's Python type, so a numpy scalar
+        serialises and 1 and 1.0 give the same report."""
         if self.method not in METHODS:
             raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {self.method!r}")
-        if not 0.0 < self.keep_fraction <= 1.0:
-            raise ValueError("keep_fraction must be in (0, 1]")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-        least = {
-            "q": 1, "n_var": 1, "n_pop": 2, "n_splits": 1, "n_restarts": 1,
-            "stagnation_limit": 1, "max_iterations": 1, "seed": 0,
-        }
-        for name, bound in least.items():
-            if getattr(self, name) < bound:
-                raise ValueError(f"{name} must be at least {bound}")
-        # A run's time grows in proportion to each of these, so each is
-        # capped to keep a run to minutes: every fitness call fits n_splits
-        # trees (a 62 x 2000 run takes about 0.6 s at 10), every restart is
-        # a full k-means fit (0.040 s of CPU, median of 20, for 1000 points
-        # of 100 values on a 2-core Xeon), the first generation draws and
-        # scores n_pop subsets, and a search that keeps improving stops
-        # only after max_iterations generations.
-        most = {"n_splits": 1000, "n_restarts": 100, "n_pop": MAX_POPULATION, "max_iterations": 100_000}
-        for name, bound in most.items():
-            if getattr(self, name) > bound:
-                raise ValueError(f"{name} must be at most {bound}")
-        # Each number is held as its field's Python type, so a numpy scalar
-        # serialises and 1 and 1.0 give the same report.  Cast after the
-        # range checks: a huge integer fraction is refused, not overflowed.
-        for field in fields(self):
-            cast = {"int": int, "float": float}.get(field.type)
-            if cast is not None:
-                object.__setattr__(self, field.name, cast(getattr(self, field.name)))
+        object.__setattr__(self, "keep_fraction", _fraction(self.keep_fraction, "keep_fraction", closed=True))
+        object.__setattr__(self, "test_fraction", _fraction(self.test_fraction, "test_fraction"))
+        for name, (least, most) in _COUNT_BOUNDS.items():
+            object.__setattr__(self, name, _count(getattr(self, name), name, least, most))
 
 
 @dataclass(frozen=True)
@@ -240,16 +224,10 @@ class ExperimentResult:
         return float(np.mean([r.ga.nfe for r in self.runs]))
 
 
-def _check_runs(n_runs: int) -> None:
-    """The gate for ``n_runs``: each repeat is a full run and each draw a
-    fitness call, so it is capped like ``PipelineConfig``'s work sizes."""
-    _count(n_runs, "n_runs", most=1000)
-
-
 def run_experiment(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, n_runs: int = 3
 ) -> ExperimentResult:
-    _check_runs(n_runs)
+    _count(n_runs, "n_runs", most=MAX_RUNS)
     runs = []
     for i in range(n_runs):
         run_config = PipelineConfig(**{**asdict(config), "seed": config.seed + i})
@@ -282,7 +260,7 @@ def random_baseline(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, n_runs: int = 3
 ) -> BaselineResult:
     """Control arm: uniform subsets of the pool instead of the search."""
-    _check_runs(n_runs)
+    _count(n_runs, "n_runs", most=MAX_RUNS)
     stages = build_stages(matrix, labels, config)
     evaluator = build_evaluator(matrix, labels, config)
     draws = []

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector, _binary, _finite
+from .data import FeatureMatrix, LabelVector, _binary, _finite, _fraction
 
 # The scoring methods: the distance score and the mutual-congestion width.
 METHODS = ("dmc", "mc")
@@ -231,7 +231,6 @@ def rank_all(matrix: FeatureMatrix, labels: LabelVector, method: str = "dmc") ->
 def keep_count(m: int, keep_fraction: float) -> int:
     """max(1, floor(keep_fraction * m)), guarded against float slop in the
     product (0.3 * 10 must floor to 3, not 2)."""
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must be in (0, 1]")
+    keep_fraction = _fraction(keep_fraction, "keep_fraction", closed=True)
     return max(1, int(np.floor(keep_fraction * m + 1e-9)))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -725,25 +726,35 @@ class TestEvaluate:
             evaluate_subset(matrix, labels, np.arange(4), n_splits=0)
 
     @pytest.mark.parametrize(
-        "value, message",
+        "option, value, message",
         [
-            (True, "n_splits must be an integer, got True"),
-            (2.5, "n_splits must be an integer, got 2.5"),
-            (-1, "n_splits must be at least 1"),
+            ("n_splits", True, "n_splits must be an integer, got True"),
+            ("n_splits", 2.5, "n_splits must be an integer, got 2.5"),
+            ("n_splits", -1, "n_splits must be at least 1"),
+            ("test_fraction", "0.2", "test_fraction must be a number, got '0.2'"),
+            ("test_fraction", True, "test_fraction must be a number, got True"),
+            ("test_fraction", 1.0, "test_fraction must be in (0, 1)"),
+            ("base_seed", True, "base_seed must be an integer, got True"),
+            ("base_seed", 2.5, "base_seed must be an integer, got 2.5"),
+            ("base_seed", -1, "base_seed must be at least 0"),
         ],
     )
-    def test_n_splits_is_checked_not_coerced(self, value, message):
-        # a bool is not read as one split, nor a float rounded to a count
+    def test_split_settings_are_checked_not_coerced(self, option, value, message):
+        # a bool is not read as one split or seed 1, nor a float rounded
+        # to a count, nor a string taken for a fraction
         matrix, labels = random_dataset(6, 6, 4, seed=0)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            Evaluator(matrix, labels, value, 0.25, 0)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            evaluate_subset(matrix, labels, [1, 2], n_splits=value)
-        one_split = Evaluator(matrix, labels, 1, 0.2, 0)  # n_splits=True must not pass as 1
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            evaluate_subset(matrix, labels, [1, 2], n_splits=value, evaluator=one_split)
-        assert evaluate_subset(matrix, labels, [1, 2], n_splits=np.int64(2)) == evaluate_subset(
-            matrix, labels, [1, 2], n_splits=2
+        settings = {"n_splits": 1, "test_fraction": 0.25, "base_seed": 1}
+        bad = {**settings, option: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Evaluator(matrix, labels, **bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_subset(matrix, labels, [1, 2], **bad)
+        built = Evaluator(matrix, labels, **settings)  # True must not pass as 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_subset(matrix, labels, [1, 2], **bad, evaluator=built)
+        numpy_scalar = {**settings, option: np.asarray(settings[option])[()]}
+        assert evaluate_subset(matrix, labels, [1, 2], **numpy_scalar) == evaluate_subset(
+            matrix, labels, [1, 2], **settings
         )
 
 

@@ -42,12 +42,18 @@ IS_A_DIRECTORY = "[Errno 21] Is a directory"
 
 class TestSubcommands:
     def test_rank(self, capsys, data_csv):
-        code, report = run_cli(capsys, "rank", data_csv, "--keep-fraction", "0.25")
+        code, report = run_cli(capsys, "rank", data_csv, "--keep-fraction", "0.75")
         assert code == EXIT_OK
-        assert report["n_retained"] == 6
-        assert len(report["retained"]) == 6
+        assert report["n_retained"] == 18  # the default fraction retains 11
+        assert len(report["retained"]) == 18
         scores = [r["score"] for r in report["retained"]]
         assert scores == sorted(scores)
+        # rank lists the columns cluster goes on to use: floor(0.25 * 24)
+        # is raised to n_var + 1 = 11 in both
+        _, ranked = run_cli(capsys, "rank", data_csv, "--keep-fraction", "0.25")
+        _, clustered = run_cli(capsys, "cluster", data_csv, "--keep-fraction", "0.25")
+        assert ranked["n_retained"] == clustered["n_retained"] == 11
+        assert {r["feature"] for r in ranked["retained"]} == {int(f) for f in clustered["assignments"]}
 
     def test_cluster(self, capsys, data_csv):
         code, report = run_cli(
@@ -216,11 +222,11 @@ class TestGoldenBytes:
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_win(self, capsys, data_csv, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"keep_fraction": 0.25, "seed": 9, "method": "mc"}))
+        config.write_text(json.dumps({"keep_fraction": 0.75, "seed": 9, "method": "mc"}))
         code, report = run_cli(capsys, "rank", data_csv, "--config", str(config))
         assert code == EXIT_OK
         assert report["method"] == "mc"
-        assert report["n_retained"] == 6
+        assert report["n_retained"] == 18  # the default fraction retains 11
 
         code, report = run_cli(
             capsys, "rank", data_csv, "--config", str(config), "--keep-fraction", "0.5"
@@ -581,11 +587,11 @@ class TestExitCodes:
 
     def test_output_file(self, capsys, data_csv, tmp_path):
         out = tmp_path / "report.json"
-        code = main(["rank", data_csv, "--keep-fraction", "0.25", "--output", str(out)])
+        code = main(["rank", data_csv, "--keep-fraction", "0.75", "--output", str(out)])
         assert code == EXIT_OK
         assert capsys.readouterr().out == ""
         report = json.loads(out.read_text())
-        assert report["n_retained"] == 6
+        assert report["n_retained"] == 18
 
     def test_output_bytes_stable(self, capsys, data_csv, tmp_path):
         first = tmp_path / "a.json"

@@ -475,6 +475,12 @@ class TestStratifiedSplit:
 
     def test_fraction_bounds(self):
         labels = LabelVector(np.array([0, 0, 1, 1]), ("a", "b"))
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
+        for bad in (0.0, 1.0, -0.1, 1.5, 10**400):
+            with pytest.raises(ValueError, match=r"^test_fraction must be in \(0, 1\)$"):
                 stratified_split(labels, bad, seed=0)
+        for bad in (True, "0.2"):  # not read as 1.0, nor parsed
+            with pytest.raises(ValueError, match=f"^test_fraction must be a number, got {bad!r}$"):
+                stratified_split(labels, bad, seed=0)
+        for seed, message in ((True, "an integer, got True"), (2.5, "an integer, got 2.5"), (-1, "at least 0")):
+            with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+                stratified_split(labels, 0.5, seed)

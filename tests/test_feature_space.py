@@ -221,18 +221,30 @@ class TestClustering:
             ("n_restarts", 2.5, "n_restarts must be an integer, got 2.5"),
             ("q", True, "q must be an integer, got True"),
             ("q", 2.5, "q must be an integer, got 2.5"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", 2.5, "seed must be an integer, got 2.5"),
+            ("seed", -1, "seed must be at least 0"),
+            ("space_seed", True, "seed must be an integer, got True"),
+            ("space_seed", 2.5, "seed must be an integer, got 2.5"),
+            ("space_seed", -1, "seed must be at least 0"),
         ],
     )
     def test_counts_are_checked_not_coerced(self, option, value, message):
-        # a bool is not read as one restart or cluster, nor a float rounded
+        # a bool is not read as one restart, cluster or seed 1, nor a
+        # float rounded
         matrix, vec = random_dataset(5, 5, 6, seed=0)
-        counts = {"q": 2, "n_restarts": 2}
+
+        def screen(q=2, n_restarts=2, seed=0, space_seed=0):
+            model = cluster_features(matrix, np.arange(6), q, seed, n_restarts=n_restarts)
+            return model, build_feature_space(np.arange(6), model, space_seed)
+
         with pytest.raises(ValueError, match=f"^{message}$"):
-            cluster_features(matrix, np.arange(6), seed=0, **{**counts, option: value})
-        numpy_count = cluster_features(matrix, np.arange(6), seed=0, **{**counts, option: np.int64(2)})
-        model = cluster_features(matrix, np.arange(6), seed=0, **counts)
+            screen(**{option: value})
+        numpy_count, numpy_space = screen(**{option: np.int64(2)})
+        model, space = screen(**{option: 2})
         assert np.array_equal(numpy_count.assignments, model.assignments)
         assert numpy_count.inertia_history == model.inertia_history
+        assert np.array_equal(numpy_space, space)
 
     def test_kmeans_peak_memory(self):
         """k-means over 1000 points of 100 values peaks under 5 times the

@@ -341,15 +341,18 @@ class TestSubsetOptimizer:
             ("n_pop", True, "n_pop must be an integer, got True"),
             ("n_pop", 1, "n_pop must be at least 2"),
             ("n_pop", 1001, "n_pop must be at most 1000"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", 2.5, "seed must be an integer, got 2.5"),
+            ("seed", -1, "seed must be at least 0"),
         ],
     )
     def test_counts_are_checked_not_coerced(self, option, value, message):
-        # a float is not rounded into a count, nor a bool read as 1, a
-        # count below 1 does not stop the search early, and a population
-        # is capped as PipelineConfig caps it
+        # a float is not rounded into a count or seed, nor a bool read as
+        # 1, a count below 1 does not stop the search early, and a
+        # population is capped as PipelineConfig caps it
         def search(**counts):
-            settings = {"n_var": 5, "n_pop": 6, **counts}
-            return SubsetOptimizer(range(30), fitness_fn=per_subset(lambda g: 1.0), seed=0, **settings)
+            settings = {"n_var": 5, "n_pop": 6, "seed": 0, **counts}
+            return SubsetOptimizer(range(30), fitness_fn=per_subset(lambda g: 1.0), **settings)
 
         with pytest.raises(ValueError, match=f"^{message}$"):
             search(**{option: value})

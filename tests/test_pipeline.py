@@ -83,6 +83,10 @@ class TestConfigGate:
         with pytest.raises(ValueError, match=f"^{name} must be (an integer|a number), got '7'$"):
             PipelineConfig(**{name: "7"})
 
+    def test_bounds_cover_exactly_the_integer_fields(self):
+        # each integer field goes through data._count with its bounds
+        assert set(pipeline._COUNT_BOUNDS) == {f.name for f in fields(PipelineConfig) if f.type == "int"}
+
     def test_accepts_numpy_scalars_and_whole_fractions(self):
         config = PipelineConfig(q=np.int64(5), keep_fraction=1, test_fraction=np.float32(0.25), seed=np.uint8(7))
         assert config == PipelineConfig(q=5, keep_fraction=1.0, test_fraction=0.25, seed=7)

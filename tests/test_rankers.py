@@ -239,8 +239,11 @@ class TestRanking:
 
     def test_keep_fraction_bounds(self):
         for bad in (0.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^keep_fraction must be in \(0, 1\]$"):
                 keep_count(10, bad)
+        for bad in (True, "0.2"):  # not read as 1.0, nor parsed
+            with pytest.raises(ValueError, match=f"^keep_fraction must be a number, got {bad!r}$"):
+                keep_count(20, bad)
 
     def test_separating_column_ranks_first(self):
         rng = np.random.default_rng(7)
