@@ -603,7 +603,7 @@ def _settings(n_splits: int, test_fraction: float, base_seed: int) -> dict:
     return {
         "n_splits": _count(n_splits, "n_splits"),
         "test_fraction": _fraction(test_fraction, "test_fraction"),
-        "base_seed": _count(base_seed, "base_seed", least=0),
+        "base_seed": _count(base_seed, "base_seed"),
     }
 
 

@@ -239,7 +239,7 @@ def _cmd_evaluate(args) -> dict:
         if args.features is not None
         else np.arange(matrix.m)
     )
-    mean_overall, per_split = evaluate(matrix, labels, config, features)
+    mean_overall, per_split = evaluate(matrix, labels, features, build_evaluator(matrix, labels, config))
     return {
         "features": [int(j) for j in features],
         "n_splits": config.n_splits,

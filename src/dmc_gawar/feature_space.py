@@ -283,7 +283,7 @@ def cluster_features(
         raise ValueError("retained feature set is empty")
     q = min(_count(q, "q"), len(retained))
     n_restarts = _count(n_restarts, "n_restarts")
-    seed = _count(seed, "seed", least=0)
+    seed = _count(seed, "seed")
     points = minmax_normalize(matrix.values[:, retained]).T  # one row per feature
 
     streams = np.random.SeedSequence(seed).spawn(n_restarts)
@@ -305,7 +305,7 @@ def build_feature_space(
     Returns original-matrix feature indices; length equals the cluster count.
     """
     retained = _column_ids(retained, None, "retained")
-    rng = np.random.default_rng(_count(seed, "seed", least=0))
+    rng = np.random.default_rng(_count(seed, "seed"))
     members_of = [np.flatnonzero(model.assignments == k) for k in range(model.n_clusters)]
     space = []
     for members in members_of:

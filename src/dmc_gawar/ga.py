@@ -37,9 +37,6 @@ import numpy as np
 
 from .data import _column_ids, _count
 
-# The largest population, also ``PipelineConfig``'s cap.
-MAX_POPULATION = 1000
-
 INITIAL_CROSSOVER_TENTHS = 9
 INITIAL_MUTATION_TENTHS = 4
 CROSSOVER_FLOOR_TENTHS = 3
@@ -200,12 +197,12 @@ class SubsetOptimizer:
         n_var = _count(n_var, "n_var")
         if len(space) <= n_var:
             raise ValueError("candidate pool must be larger than n_var")
-        n_pop = _count(n_pop, "n_pop", least=2, most=MAX_POPULATION)
+        n_pop = _count(n_pop, "n_pop")
         self.space = space
         self.pool = np.sort(space).tolist()  # ascending, as the operators draw from it
         self.n_var = n_var
         self.fitness_fn = fitness_fn
-        self.rng = np.random.default_rng(_count(seed, "seed", least=0))
+        self.rng = np.random.default_rng(_count(seed, "seed"))
         self.n_pop = n_pop
         self.stagnation_limit = _count(stagnation_limit, "stagnation_limit")
         self.max_iterations = _count(max_iterations, "max_iterations")

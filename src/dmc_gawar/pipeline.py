@@ -1,8 +1,9 @@
 """End-to-end orchestration: rank, cluster, pool, search, evaluate.
 
-This module is the only owner of the stage seed offsets (``SEED_*``) and
-of size clamping (``effective_sizes``, which ``build_stages`` and the
-CLI's ``rank`` both use); the CLI and library callers go through
+This module is the only owner of the stage seed offsets (``SEED_*``), of
+size clamping (``effective_sizes``, which ``build_stages`` and the CLI's
+``rank`` both use) and of the split settings (``build_evaluator`` alone
+maps a config to them); the CLI and library callers go through
 ``build_stages``, ``build_evaluator``, ``search`` and ``evaluate``.
 Every stage draws randomness from the run seed plus its fixed offset, so
 a run is a pure function of (dataset, config).  Every evaluation of a run
@@ -10,23 +11,24 @@ goes through its one evaluator and so uses the same split seeds, which
 makes the "after" overall accuracy equal the best fitness the search
 reports.
 
-The report dicts are built here, and ``report_text`` is the one place
-that turns a report into bytes (sorted keys, two-space indent, one
-trailing newline), for ``write_json`` and the CLI's stdout alike.  The
-score keys come from ``classifier.METRIC_KEYS``.
+The reports of a full run, an experiment and a baseline are built here
+(the CLI builds those of its other subcommands), and ``report_text`` is
+the one place that turns a report into bytes (sorted keys, two-space
+indent, one trailing newline), for ``write_json`` and the CLI's stdout
+alike.  The score keys come from ``classifier.METRIC_KEYS``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .classifier import ClassificationMetrics, Evaluator, evaluate_subset, mean_metrics, metric_stat
 from .data import DataError, FeatureMatrix, LabelVector, _count, _fraction
 from .feature_space import ClusterModel, build_feature_space, cluster_features
-from .ga import MAX_POPULATION, GAResult, SubsetOptimizer
+from .ga import GAResult, SubsetOptimizer
 from .rankers import METHODS, keep_count, rank_all
 
 SEED_KMEANS = 101
@@ -34,23 +36,6 @@ SEED_SPACE = 211
 SEED_GA = 307
 SEED_EVAL = 401
 SEED_BASELINE = 503
-
-
-# Each integer field of ``PipelineConfig`` with its least and most value
-# (None: no cap).  A run's time grows in proportion to each capped one,
-# so each is capped to keep a run to minutes: every fitness call fits
-# n_splits trees (a 62 x 2000 run takes about 0.6 s at 10), every restart
-# is a full k-means fit (0.040 s of CPU, median of 20, for 1000 points of
-# 100 values on a 2-core Xeon), the first generation draws and scores
-# n_pop subsets, and a search that keeps improving stops only after
-# max_iterations generations.
-_COUNT_BOUNDS = {
-    "q": (1, None), "n_var": (1, None), "n_pop": (2, MAX_POPULATION), "stagnation_limit": (1, None),
-    "max_iterations": (1, 100_000), "n_splits": (1, 1000), "n_restarts": (1, 100), "seed": (0, None),
-}
-# n_runs is capped likewise: each repeat of ``run_experiment`` is a full
-# run and each draw of ``random_baseline`` a fitness call.
-MAX_RUNS = 1000
 
 
 @dataclass(frozen=True)
@@ -77,8 +62,9 @@ class PipelineConfig:
             raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {self.method!r}")
         object.__setattr__(self, "keep_fraction", _fraction(self.keep_fraction, "keep_fraction", closed=True))
         object.__setattr__(self, "test_fraction", _fraction(self.test_fraction, "test_fraction"))
-        for name, (least, most) in _COUNT_BOUNDS.items():
-            object.__setattr__(self, name, _count(getattr(self, name), name, least, most))
+        for field in fields(self):
+            if field.type == "int":  # in the range data._BOUNDS gives its name
+                object.__setattr__(self, field.name, _count(getattr(self, field.name), field.name))
 
 
 @dataclass(frozen=True)
@@ -141,17 +127,12 @@ def build_evaluator(matrix: FeatureMatrix, labels: LabelVector, config: Pipeline
 
 
 def evaluate(
-    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, features,
-    evaluator: Evaluator | None = None,
+    matrix: FeatureMatrix, labels: LabelVector, features, evaluator: Evaluator
 ) -> tuple[float, list[ClassificationMetrics]]:
     """The one evaluation protocol: fitness, before/after and baseline
-    scores all use the same splits, so "after" equals the best fitness.
-    ``evaluator`` (the run's, from ``build_evaluator``) only saves work."""
-    return evaluate_subset(
-        matrix, labels, features,
-        n_splits=config.n_splits, test_fraction=config.test_fraction,
-        base_seed=config.seed + SEED_EVAL, evaluator=evaluator,
-    )
+    scores all use the run's evaluator (from ``build_evaluator``) and so
+    the same splits, so "after" equals the best fitness."""
+    return evaluate_subset(matrix, labels, features, **evaluator.settings, evaluator=evaluator)
 
 
 def search(
@@ -165,7 +146,7 @@ def search(
     return SubsetOptimizer(
         stages.space,
         stages.n_var,
-        lambda batch: [fitness for fitness, _ in _scores(matrix, labels, config, batch, evaluator)],
+        lambda batch: [fitness for fitness, _ in _scores(matrix, labels, batch, evaluator)],
         seed=config.seed + SEED_GA,
         n_pop=config.n_pop,
         stagnation_limit=config.stagnation_limit,
@@ -174,12 +155,12 @@ def search(
 
 
 def _scores(
-    matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, batch, evaluator: Evaluator
+    matrix: FeatureMatrix, labels: LabelVector, batch, evaluator: Evaluator
 ) -> list[tuple[float, list[ClassificationMetrics]]]:
     """``evaluate`` of each subset of a batch, in order, after the
     evaluator has scored them all in one go."""
     evaluator.stage(batch)
-    return [evaluate(matrix, labels, config, features, evaluator) for features in batch]
+    return [evaluate(matrix, labels, features, evaluator) for features in batch]
 
 
 def run_pipeline(
@@ -189,8 +170,8 @@ def run_pipeline(
     stages = build_stages(matrix, labels, config)
     evaluator = build_evaluator(matrix, labels, config)
     ga = search(matrix, labels, config, stages, evaluator)
-    _, before_splits = evaluate(matrix, labels, config, np.arange(matrix.m), evaluator)
-    _, after_splits = evaluate(matrix, labels, config, ga.best_genes, evaluator)
+    _, before_splits = evaluate(matrix, labels, np.arange(matrix.m), evaluator)
+    _, after_splits = evaluate(matrix, labels, ga.best_genes, evaluator)
     return PipelineResult(
         config=config,
         retained=tuple(int(j) for j in stages.retained),
@@ -227,7 +208,7 @@ class ExperimentResult:
 def run_experiment(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, n_runs: int = 3
 ) -> ExperimentResult:
-    _count(n_runs, "n_runs", most=MAX_RUNS)
+    _count(n_runs, "n_runs")
     runs = []
     for i in range(n_runs):
         run_config = PipelineConfig(**{**asdict(config), "seed": config.seed + i})
@@ -260,7 +241,7 @@ def random_baseline(
     matrix: FeatureMatrix, labels: LabelVector, config: PipelineConfig, n_runs: int = 3
 ) -> BaselineResult:
     """Control arm: uniform subsets of the pool instead of the search."""
-    _count(n_runs, "n_runs", most=MAX_RUNS)
+    _count(n_runs, "n_runs")
     stages = build_stages(matrix, labels, config)
     evaluator = build_evaluator(matrix, labels, config)
     draws = []
@@ -269,7 +250,7 @@ def random_baseline(
         draws.append(tuple(sorted(rng.choice(stages.space, size=stages.n_var, replace=False).tolist())))
     return BaselineResult(tuple(
         BaselineRun(genes, mean_metrics(splits))
-        for genes, (_, splits) in zip(draws, _scores(matrix, labels, config, draws, evaluator))
+        for genes, (_, splits) in zip(draws, _scores(matrix, labels, draws, evaluator))
     ))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector, _read_only
+from .data import FeatureMatrix, LabelVector, _count, _read_only
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,11 @@ def make_planted(
     """Noise plus ``n_informative`` columns whose class-1 rows sit ``shift``
     standard deviations higher.  Informative column indices are drawn
     without replacement from the same seed and reported."""
-    if not 0 < n_informative <= m:
+    n_class0, n_class1, m = _count(n_class0, "n_class0"), _count(n_class1, "n_class1"), _count(m, "m")
+    if n_informative not in range(1, m + 1):
         raise ValueError("n_informative must be in 1..m")
-    rng = np.random.default_rng(seed)
+    n_informative = _count(n_informative, "n_informative")  # refuses True and 2.0, which pass
+    rng = np.random.default_rng(_count(seed, "seed"))
     values = rng.standard_normal((n_class0 + n_class1, m))
     informative = np.sort(rng.choice(m, size=n_informative, replace=False))
     values[n_class0:, informative] += shift
@@ -57,8 +59,7 @@ def make_planted(
 def make_xor(reps: int = 1) -> SyntheticDataset:
     """The 2-D parity corner set, repeated; no single split has positive gain
     at the root, yet two levels classify it exactly."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    reps = _count(reps, "reps")
     corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     labels = np.array([0, 1, 1, 0])
     values = np.tile(corners, (reps, 1))

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from dmc_gawar.data import (
     save_csv,
     stratified_split,
 )
+from dmc_gawar.synthetic import make_planted, make_xor
 from oracles import oracle_load_csv, oracle_save_csv
 
 
@@ -484,3 +486,32 @@ class TestStratifiedSplit:
         for seed, message in ((True, "an integer, got True"), (2.5, "an integer, got 2.5"), (-1, "at least 0")):
             with pytest.raises(ValueError, match=f"^seed must be {message}$"):
                 stratified_split(labels, 0.5, seed)
+
+
+class TestSyntheticBuilders:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: make_planted(5, 5, 6, 2, 1.0, seed=True), "seed must be an integer, got True"),
+            (lambda: make_planted(5, 5, 6, 2, 1.0, seed=2.5), "seed must be an integer, got 2.5"),
+            (lambda: make_planted(5, 5, 6, 2, 1.0, seed=-1), "seed must be at least 0"),
+            (lambda: make_planted(5.0, 5, 6, 2, 1.0, seed=1), "n_class0 must be an integer, got 5.0"),
+            (lambda: make_planted(5, True, 6, 2, 1.0, seed=1), "n_class1 must be an integer, got True"),
+            (lambda: make_planted(5, 5, 6.0, 2, 1.0, seed=1), "m must be an integer, got 6.0"),
+            (lambda: make_planted(5, 5, 6, 2.0, 1.0, seed=1), "n_informative must be an integer, got 2.0"),
+            (lambda: make_planted(5, 5, 6, True, 1.0, seed=1), "n_informative must be an integer, got True"),
+            (lambda: make_planted(5, 5, 6, 2.5, 1.0, seed=1), "n_informative must be in 1..m"),
+            (lambda: make_xor(reps=True), "reps must be an integer, got True"),
+            (lambda: make_xor(reps=2.0), "reps must be an integer, got 2.0"),
+        ],
+    )
+    def test_counts_and_seeds_are_checked_not_coerced(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_range_messages(self):
+        for n_informative in (0, 7):
+            with pytest.raises(ValueError, match=r"^n_informative must be in 1\.\.m$"):
+                make_planted(5, 5, 6, n_informative, 1.0, seed=1)
+        with pytest.raises(ValueError, match="^reps must be at least 1$"):
+            make_xor(0)

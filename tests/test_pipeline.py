@@ -4,11 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dmc_gawar import classifier, feature_space, pipeline
-from dmc_gawar.classifier import metric_stat
+from dmc_gawar import classifier, data, feature_space, pipeline
+from dmc_gawar.classifier import Evaluator, evaluate_subset, metric_stat
 from dmc_gawar.data import DataError, FeatureMatrix, SplitPlan, stratified_split
-from dmc_gawar.feature_space import ClusterModel
-from dmc_gawar.ga import GAResult
+from dmc_gawar.feature_space import ClusterModel, cluster_features
+from dmc_gawar.ga import GAResult, SubsetOptimizer
 from dmc_gawar.pipeline import (
     SEED_EVAL,
     BaselineResult,
@@ -36,6 +36,19 @@ SMALL = PipelineConfig(
 @pytest.fixture(scope="module")
 def planted():
     return make_planted(15, 25, 40, 4, 2.0, seed=3)
+
+
+# The library entry points of each capped count: (name, entry, call with
+# the data and the count).
+LIBRARY_GATES = [
+    ("n_pop", "SubsetOptimizer", lambda ds, v: SubsetOptimizer(range(6), 2, None, 0, n_pop=v)),
+    ("max_iterations", "SubsetOptimizer", lambda ds, v: SubsetOptimizer(range(6), 2, None, 0, max_iterations=v)),
+    ("n_splits", "Evaluator", lambda ds, v: Evaluator(ds.matrix, ds.labels, v, 0.2, 0)),
+    ("n_splits", "evaluate_subset", lambda ds, v: evaluate_subset(ds.matrix, ds.labels, [0], n_splits=v)),
+    ("n_restarts", "cluster_features", lambda ds, v: cluster_features(ds.matrix, np.arange(6), 2, 0, n_restarts=v)),
+    ("n_runs", "run_experiment", lambda ds, v: run_experiment(ds.matrix, ds.labels, SMALL, n_runs=v)),
+    ("n_runs", "random_baseline", lambda ds, v: random_baseline(ds.matrix, ds.labels, SMALL, n_runs=v)),
+]
 
 
 class TestConfigGate:
@@ -84,8 +97,35 @@ class TestConfigGate:
             PipelineConfig(**{name: "7"})
 
     def test_bounds_cover_exactly_the_integer_fields(self):
-        # each integer field goes through data._count with its bounds
-        assert set(pipeline._COUNT_BOUNDS) == {f.name for f in fields(PipelineConfig) if f.type == "int"}
+        # each integer field goes through data._count under its own name,
+        # so it takes the range data._BOUNDS gives that name
+        for field in fields(PipelineConfig):
+            if field.type != "int":
+                continue
+            least, most = data._BOUNDS.get(field.name, (1, None))
+            with pytest.raises(ValueError, match=f"^{field.name} must be at least {least}$"):
+                PipelineConfig(**{field.name: least - 1})
+            if most is not None:
+                with pytest.raises(ValueError, match=f"^{field.name} must be at most {most}$"):
+                    PipelineConfig(**{field.name: most + 1})
+
+    def test_every_capped_count_has_its_library_gates_listed(self):
+        capped = {name for name, (_, most) in data._BOUNDS.items() if most is not None}
+        assert {name for name, _, _ in LIBRARY_GATES} == capped
+
+    @pytest.mark.parametrize(
+        "name, call", [(name, call) for name, _, call in LIBRARY_GATES],
+        ids=[f"{name}-{entry}" for name, entry, _ in LIBRARY_GATES],
+    )
+    def test_library_refuses_what_the_config_refuses(self, planted, name, call):
+        # one past the cap, the library entry point gives the config's message
+        most = data._BOUNDS[name][1]
+        message = f"{name} must be at most {most}"
+        if name in {f.name for f in fields(PipelineConfig)}:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                PipelineConfig(**{name: most + 1})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(planted, most + 1)
 
     def test_accepts_numpy_scalars_and_whole_fractions(self):
         config = PipelineConfig(q=np.int64(5), keep_fraction=1, test_fraction=np.float32(0.25), seed=np.uint8(7))
