@@ -33,16 +33,20 @@ winning column again for its cut: a per-node sweep's order, so each tree
 is the one a node-by-node grower builds.  ``_grow``'s scan of a level
 stops once every open node has a cut of Gini exactly 0: a pure child's
 term is exactly +0.0 and an impure child's positive, so no later column
-beats that cut, and a tie goes to the earlier column.
+beats that cut, and a tie goes to the earlier column.  Every child of
+such a level is pure, so no level follows it.
 The winning grid column's order sends each node's rows left or right, and
-one flat index per block regroups the rows of open children, still
-sorted, for the next level.  Pure nodes, nodes of fewer than 2 rows and
-nodes constant on every column become leaves.  A level only records its
-nodes, winners and cut rows; the node arrays and thresholds of all levels
-are written in one pass after the last, where a cut's stacked row names
-its tree and so its grid row, so the level loop does no per-node
-bookkeeping.  Positions, cuts and code sums are numpy's default integer,
-which holds every one of them.
+the rows of open children are regrouped, still sorted, for the next level
+by one flat index per block (``_regroup``).  The next level's scan
+regroups each block just before it reads it, so a scan that stops early
+leaves the blocks it skipped as they were: no later level reads them, and
+the winning columns lie in the blocks it read.  Pure nodes, nodes of
+fewer than 2 rows and nodes constant on every column become leaves.  A
+level only records its nodes, winners and cut rows; the node arrays and
+thresholds of all levels are written in one pass after the last, where a
+cut's stacked row names its tree and so its grid row, so the level loop
+does no per-node bookkeeping.  Positions, cuts and code sums are numpy's
+default integer, which holds every one of them.
 
 The trees are flat node arrays: feature, threshold, left child and
 prediction.  The test rows of all trees are routed through them at once,
@@ -168,24 +172,23 @@ def _is_open(size: np.ndarray, ones: np.ndarray) -> np.ndarray:
     return (size >= 2) & (ones > 0) & (ones < size)
 
 
-def _regroup(buffers: tuple[np.ndarray, ...], side: np.ndarray, k: int, width: int, length: int) -> None:
-    """Regroup, in place, the (k x length) grids at the front of flat
-    ``buffers`` (stacked row ids first) by the side of each stacked row: 0
-    left child, 1 right child, 2 closed.  Each column keeps its 0s, then
-    its 1s, each in position order, so every child stays sorted.  Blocks of
-    ``width`` columns go in order; a block's new cells end before the next
+def _regroup(buffers: tuple[np.ndarray, ...], side: np.ndarray, length: int, start: int, count: int) -> None:
+    """Regroup, in place, columns ``start`` to ``start + count`` of the
+    (columns x length) grids at the front of flat ``buffers`` (stacked row
+    ids first) by the side of each stacked row: 0 left child, 1 right
+    child, 2 closed.  Each column keeps its 0s, then its 1s, each in
+    position order, so every child stays sorted, and the block's new cells
+    take its place in the compacted (columns x kept rows) grids.  Blocks
+    must go in ascending order: a block's new cells end before the next
     block's old cells begin, so nothing is overwritten before it is read."""
-    grids = [buffer[: k * length].reshape(k, length) for buffer in buffers]
-    for start in range(0, k, width):
-        block = slice(start, start + width)
-        count = len(grids[0][block])
-        block_side = side.take(grids[0][block].ravel())
-        left = (block_side == 0).nonzero()[0].reshape(count, -1)
-        right = (block_side == 1).nonzero()[0].reshape(count, -1)
-        kept = np.concatenate([left, right], axis=1).ravel()
-        at = start * (kept.size // count)  # first cell of the block in the new grids
-        for buffer, grid in zip(buffers, grids):
-            buffer[at : at + kept.size] = grid[block].take(kept)
+    grids = [buffer[start * length : (start + count) * length].reshape(count, length) for buffer in buffers]
+    block_side = side.take(grids[0].ravel())
+    left = (block_side == 0).nonzero()[0].reshape(count, -1)
+    right = (block_side == 1).nonzero()[0].reshape(count, -1)
+    kept = np.concatenate([left, right], axis=1).ravel()
+    at = start * (kept.size // count)  # first cell of the block in the new grids
+    for buffer, grid in zip(buffers, grids):
+        buffer[at : at + kept.size] = grid.take(kept)
 
 
 def _presort(values: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -318,7 +321,7 @@ def _cut_gini(
 def _best_cuts(
     weighted: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     sorts: tuple[np.ndarray, np.ndarray | None, np.ndarray], starts: np.ndarray, size: np.ndarray, width: int,
-    stop_at_zero: bool = False,
+    stop_at_zero: bool = False, regroup: Callable[[int, int], None] | None = None,
 ) -> np.ndarray:
     """(columns x nodes) lowest weighted Gini of each open node on each
     column of ``sorts`` (order, ranks and tie flags, as ``_filter`` gives
@@ -326,15 +329,22 @@ def _best_cuts(
     level's kernel from ``_cut_gini``, is applied to blocks of ``width``
     columns, with ranks only for a block that holds a tied column.  Each
     minimum is divided by its node's ``size`` once: x -> fl(x / s) is
-    monotone, so that is the lowest of the divided cuts.  With
+    monotone, so that is the lowest of the divided cuts.  ``regroup``
+    (``_grow``: the regroup the last level owes) is called with each
+    block's first column and column count just before the block is
+    scanned, so ``sorts`` must be views of the buffers it writes.  With
     ``stop_at_zero`` (``_grow``: only each node's winner is read) the scan
     stops after the first block by which every node has a cut of Gini
-    exactly 0, and the later columns read inf."""
+    exactly 0, and the later columns read inf; their blocks are left
+    unregrouped, as every child of such a level is pure and no level
+    follows it."""
     order, ranks, tied = sorts
     lowest = np.empty((len(order), len(starts)))
     perfect = np.zeros(len(starts), dtype=bool)  # nodes with a cut of Gini 0 so far
     for start in range(0, len(order), width):
         block = slice(start, start + width)
+        if regroup is not None:
+            regroup(start, len(order[block]))
         block_ranks = ranks[block] if ranks is not None and tied[block].any() else None
         np.minimum.reduceat(weighted(order[block], block_ranks), starts, axis=1, out=lowest[block])
         if stop_at_zero:
@@ -372,9 +382,9 @@ def _grow(
     its rows sorted by that column.  One pass over a block of columns
     gives every node's lowest Gini on each column, or the kept roots stand
     in for the root level's pass; each node's winning column is scored
-    again for its cut, its order sends the node's rows to its children,
-    and the rows of open children are regrouped, in their sorted order,
-    for the next level.
+    again for its cut, and its order sends the node's rows to its
+    children.  The rows of open children are regrouped, in their sorted
+    order, by the next level's pass, each block just before it is read.
     A level only records its nodes, winners and cut rows; the node arrays
     are written for all levels at once, after the last.
     """
@@ -400,6 +410,7 @@ def _grow(
     node = np.arange(n_splits)  # node ids of the open nodes, in layout order
     n_nodes = n_splits
     levels = []  # per level: nodes, winning columns, cut rows, child sizes and ones, splits
+    owed = None  # the last level's regroup, which the next scan applies block by block
 
     while len(node):
         positions = np.arange(size.sum())
@@ -407,7 +418,9 @@ def _grow(
         starts, node_of, weighted = _cut_gini(y, n, size, ones, k)
         gini, roots = roots, None  # the kept roots stand in for the root level's scan only
         if gini is None:  # only each node's winner is read, so the scan may stop early
-            gini = _best_cuts(weighted, (order, ranks, tied), starts, size, width, stop_at_zero=True)
+            gini = _best_cuts(
+                weighted, (order, ranks, tied), starts, size, width, stop_at_zero=True, regroup=owed
+            )
         # The split rule: a node splits on its earliest column of lowest
         # weighted Gini, at that column's first cut of that value.
         best_column = gini.argmin(axis=0)
@@ -439,7 +452,7 @@ def _grow(
         if not child_open.any():
             break
         side[winner] = np.where(child_open, _SIDES, 2).take(goes_right * len(node) + node_of)
-        _regroup(buffers, side, k, width, len(positions))
+        owed = functools.partial(_regroup, buffers, side, len(positions))
         node = (first_child + _SIDES)[child_open]
         size, ones = child_size[child_open], child_ones[child_open]
 
@@ -493,20 +506,31 @@ def predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
 
     Each test reads one value as a Python float (``item``), which is cheaper
     than numpy scalar indexing and converts no column the tree leaves unused.
+    ``x`` must be 2-D and as wide as every column the tree tests.
     """
     x = _finite(x, "x")
+    if x.ndim != 2:
+        raise ValueError("x must be 2-D with one row per sample")
     out = np.empty(len(x), dtype=int)
-    for i in range(len(x)):
-        cursor = node
-        while cursor.prediction is None:
-            cursor = cursor.left if x.item(i, cursor.feature) <= cursor.threshold else cursor.right
-        out[i] = cursor.prediction
+    try:
+        for i in range(len(x)):
+            cursor = node
+            while cursor.prediction is None:
+                cursor = cursor.left if x.item(i, cursor.feature) <= cursor.threshold else cursor.right
+            out[i] = cursor.prediction
+    except IndexError:  # only a column past x's last is out of bounds
+        raise ValueError(f"x has {x.shape[1]} columns, but the tree tests column {cursor.feature}") from None
     return out
 
 
 def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, int]:
-    """(TP, TN, FP, FN) of labels coded 0/1, class 1 positive."""
+    """(TP, TN, FP, FN) of labels coded 0/1, class 1 positive; both are
+    1-D, one prediction per label."""
     y_true, y_pred = _binary(y_true, "labels"), _binary(y_pred, "predictions")
+    if y_true.ndim != 1:
+        raise ValueError("labels must be 1-D")
+    if y_pred.shape != y_true.shape:
+        raise ValueError(f"predictions must be 1-D with one per label ({len(y_true)}), got shape {y_pred.shape}")
     ((tp, tn, fp, fn),) = _confusion_rows(y_true[None], y_pred[None])
     return tp, tn, fp, fn
 

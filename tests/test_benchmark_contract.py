@@ -1,14 +1,17 @@
-"""The benchmark's span tracer (``perfbench/tracing.py``) against the real
-package.
+"""The benchmark's span tracer (``perfbench/tracing.py``) and fingerprints
+against the real package.
 
 The tracer wraps functions at the module globals their callers look up.
 A rename or a call that bypasses one of those globals would break
 ``perfbench/run.py --trace 1`` or make it count a layer twice; these
-tests catch that here.
+tests catch that here.  The seed-42 outputs of the two tree workloads are
+pinned here too, digested as ``perfbench/run.py`` digests them, so a
+change to a tree or a report fails tier-1 and not only a benchmark run.
 """
 
 import importlib
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import dmc_gawar
 from dmc_gawar import classifier, cli, pipeline
 from dmc_gawar.data import save_csv
 from dmc_gawar.synthetic import make_planted
+from conftest import assert_digest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -100,3 +104,28 @@ def test_pipeline_calls_its_stages_through_its_own_globals(monkeypatch):
     for arguments, (fitness, _) in evaluations:
         replay = {name: value for name, value in arguments.items() if name != "evaluator"}
         assert classifier.evaluate_subset(**replay)[0] == fitness
+
+
+def test_colon_pipeline_fingerprint_is_pinned():
+    # perfbench's colon-pipeline operation at its default seed: the report
+    # of one pipeline run on the 62x2000 planted shape
+    ds = make_planted(22, 40, 2000, 20, 1.2, 42)
+    report = pipeline.pipeline_report(pipeline.run_pipeline(ds.matrix, ds.labels, pipeline.PipelineConfig(seed=7)))
+    assert_digest(
+        json.dumps(report, sort_keys=True).encode(),
+        "01a1a8e25b787d9d5bd821a8347a51ddd62de6a185aed4cda387a028cdeec8c2",
+    )
+
+
+def test_wide_evaluate_fingerprint_is_pinned():
+    # perfbench's wide-evaluate operation at its default seed: one
+    # evaluation over all 7129 columns of the 72-row planted shape
+    ds = make_planted(47, 25, 7129, 50, 1.0, 42)
+    mean_overall, per_split = classifier.evaluate_subset(
+        ds.matrix, ds.labels, list(range(ds.matrix.m)), n_splits=10, test_fraction=0.2, base_seed=401
+    )
+    digest = {"mean_overall": mean_overall, "per_split": [m.as_dict() for m in per_split]}
+    assert_digest(
+        json.dumps(digest, sort_keys=True).encode(),
+        "46a552b66d77b7a28c40fe2bf9228437cc63d5ff1432198d2304848dedcaacd9",
+    )

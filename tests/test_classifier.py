@@ -191,6 +191,18 @@ class TestTree:
         assert predict(tree, np.array([[2.5]]))[0] == 0
         assert predict(tree, np.array([[2.5000001]]))[0] == 1
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [([[1.0]], "x has 1 columns, but the tree tests column 1"), ([1.0, 2.0], "x must be 2-D"),
+         ([[[1.0, 2.0]]], "x must be 2-D")],
+        ids=["narrow", "1-D", "3-D"],
+    )
+    def test_predict_refuses_rows_the_tree_cannot_read(self, x, message):
+        tree = fit_tree(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0]]), np.array([0, 0, 1, 1]))
+        assert tree.feature == 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            predict(tree, np.array(x))
+
     def test_pure_node_is_leaf(self):
         tree = fit_tree(np.array([[1.0], [2.0]]), np.array([1, 1]))
         assert tree.is_leaf
@@ -376,24 +388,38 @@ class TestTree:
     @given(short_wide_forests())
     def test_early_exit_grows_the_forest_of_a_full_scan(self, problem):
         # _grow stops a level's scan once every node has a cut of Gini 0;
-        # scanning every column instead must grow the same forest, and
-        # each tree must be the oracle's
+        # scanning (and so regrouping) every column instead must grow the
+        # same forest, and each tree must be the oracle's.  A scan that
+        # stopped early is the last of its forest: the blocks it left
+        # unregrouped are never read
         x, y, grid, train, block, table_max = problem
-        best_cuts, forests = classifier._best_cuts, []
+        best_cuts, forests, stopped = classifier._best_cuts, [], []
 
-        def full(weighted, sorts, starts, size, width, stop_at_zero=False):
-            return best_cuts(weighted, sorts, starts, size, width)
+        def early(weighted, sorts, starts, size, width, **kwargs):
+            scanned = []
+
+            def counted(order, ranks):
+                scanned.append(len(order))
+                return weighted(order, ranks)
+
+            lowest = best_cuts(counted, sorts, starts, size, width, **kwargs)
+            stopped.append(sum(scanned) < len(sorts[0]))
+            return lowest
+
+        def full(weighted, sorts, starts, size, width, stop_at_zero=False, regroup=None):
+            return best_cuts(weighted, sorts, starts, size, width, regroup=regroup)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "GINI_TABLE_MAX_ROWS", table_max)
             patch.setattr(classifier, "_BLOCK", block)
             presort = classifier._presort(x, np.unique(grid))
-            for scan in (best_cuts, full):
+            for scan in (early, full):
                 patch.setattr(classifier, "_best_cuts", scan)
                 sorts = classifier._filter(x, presort, grid.T, train)
                 forests.append(classifier._grow(x, y, grid, train, sorts))
             patch.setattr(classifier, "_best_cuts", best_cuts)
             trees = [fit_tree(x[rows][:, columns], y[rows]) for rows, columns in zip(train, grid)]
+        assert not any(stopped[:-1])
         early, every = forests
         assert early.depth == every.depth
         for name in ("feature", "threshold", "left", "prediction"):
@@ -433,6 +459,40 @@ class TestTree:
         matrix, labels = FeatureMatrix(x, tuple(f"f{j}" for j in columns)), LabelVector(y, ("a", "b"))
         Evaluator(matrix, labels, n_splits=3, test_fraction=0.25, base_seed=0)._keep(columns)
         assert scored == [2, 2, 2, 2]
+
+    def test_a_scan_regroups_only_the_blocks_it_reads(self, monkeypatch):
+        # by column 0 the labels run 0 1 0 0 | 1 1 0 1: the halves are the
+        # best root cut (Gini 0.375) but impure.  Column 1 puts the labels
+        # in alternating order (best root cut 0.43) yet parts each half
+        # perfectly, and columns 2 and 3 mirror 0 and 1.  Each level's
+        # regroup waits for the next scan, which stops after its first
+        # block of 2 columns, so the second block is never regrouped
+        one = np.c_[np.arange(1.0, 9.0), [3.0, 8, 5, 7, 2, 4, 1, 6]]
+        one = np.c_[one, -one]
+        labels = np.array([0, 1, 0, 0, 1, 1, 0, 1])
+        shuffle = np.random.default_rng(0).permutation(16)
+        x, y = np.r_[one, 2 * one + 100][shuffle], np.r_[labels, labels][shuffle]
+        train = np.argsort(shuffle).reshape(2, 8)  # tree 1 on the copy
+        regroup, regrouped = classifier._regroup, []
+
+        def spy(*args):
+            regrouped.append(args[-2:])  # (first column, columns) of a block
+            return regroup(*args)
+
+        monkeypatch.setattr(classifier, "_regroup", spy)
+        monkeypatch.setattr(classifier, "_BLOCK", 4)  # 2 columns of 2 trees per pass
+        columns = np.arange(4)
+        grid = np.tile(columns, (2, 1))
+        sorts = classifier._filter(x, classifier._presort(x, columns), grid.T, train)
+        forest = classifier._grow(x, y, grid, train, sorts)
+        assert forest.depth == 2
+        assert forest.feature[:6].tolist() == [0, 0, 1, 1, 1, 1]
+        assert regrouped == [(0, 2)]
+        monkeypatch.setattr(classifier, "_BLOCK", 2)  # the same passes for one tree
+        for rows in train:
+            regrouped.clear()
+            assert fit_tree(x[rows], y[rows]) == oracle_fit_tree(x[rows], y[rows])
+            assert regrouped == [(0, 2)]
 
     def test_deep_tree_grows_without_recursion(self):
         # alternating labels on distinct values need a cut between every
@@ -543,6 +603,17 @@ class TestMetrics:
     )
     def test_confusion_counts_reject_values_other_than_zero_and_one(self, y_true, y_pred):
         with pytest.raises(ValueError, match="0/1"):
+            confusion_counts(np.array(y_true), np.array(y_pred))
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred, message",
+        [([0, 1, 1], [0, 1], "predictions must be 1-D with one per label (3), got shape (2,)"),
+         ([0, 1], [[0, 1]], "predictions must be 1-D with one per label (2), got shape (1, 2)"),
+         ([[0, 1]], [[0, 1]], "labels must be 1-D"), (1, 1, "labels must be 1-D")],
+        ids=["shorter", "2-D predictions", "2-D", "scalar"],
+    )
+    def test_confusion_counts_need_one_prediction_per_label(self, y_true, y_pred, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             confusion_counts(np.array(y_true), np.array(y_pred))
 
     def test_mean_metrics(self):
@@ -984,8 +1055,9 @@ def traced_peak(call) -> float:
 
 class TestPeakMemory:
     """The presort is taken and filtered a block of columns at a time, and
-    a wide tree's order holds one byte per row id.  Measured peaks: 1.55 MB
-    wide and 1.74 MB for the colon run (1.67 MB before ``rankers._row_sums``
+    a wide tree's order holds one byte per row id.  Measured peaks: 1.49 MB
+    wide (1.55 MB while each level regrouped every block at once) and
+    1.74 MB for the colon run (1.67 MB before ``rankers._row_sums``
     selected with ``np.compress``, which builds an index array; 2.79 and
     1.67 MB with an int32 sort per split); a filter of all columns at once
     reads 6.27 and 2.07 MB, a presort and filter of all columns 13.6 and
